@@ -6,24 +6,20 @@
 //! lane-parallel probe front end (`execute_batch`).
 //!
 //! Results are written to `BENCH_replay.json`: one scalar/batched median
-//! pair per kernel (every MM application and both scientific suites), a
-//! geometric-mean speedup, and a scalar-vs-batched timing of the fused
-//! Figure 3/4 sweep grids in the same run. CI archives the file and fails
-//! if any batched median is slower than its scalar baseline.
+//! pair per kernel (every MM application and both scientific suites) and
+//! a geometric-mean speedup. CI archives the file and fails if the
+//! batched path is slower than its scalar baseline.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
 
 use memo_bench::{bench_cfg, bench_median};
-use memo_sim::{sweep_kind, MemoBank, OpTrace, TraceRecorderSink};
-use memo_table::{
-    batch_width, Assoc, MemoConfig, OpKind, StackSimulator, SweepGrid,
-};
+use memo_sim::{MemoBank, OpTrace, TraceRecorderSink};
+use memo_table::OpKind;
 use memo_workloads::mm;
 use memo_workloads::sci;
 use memo_workloads::suite::{mm_inputs, record_sci_trace, MemoProbeSink, SweepSpec};
 
-const KINDS: [OpKind; 3] = [OpKind::IntMul, OpKind::FpMul, OpKind::FpDiv];
 const SAMPLES: usize = 12;
 
 struct KernelRow {
@@ -63,45 +59,6 @@ fn time_kernel(
     KernelRow { name, suite, ops, scalar_ms: scalar * 1e3, batched_ms: batched * 1e3 }
 }
 
-struct SweepRow {
-    name: &'static str,
-    points: usize,
-    scalar_ms: f64,
-    batched_ms: f64,
-}
-
-impl SweepRow {
-    fn speedup(&self) -> f64 {
-        if self.batched_ms > 0.0 { self.scalar_ms / self.batched_ms } else { 0.0 }
-    }
-}
-
-/// Time one fused sweep grid with the stack engine fed per-op (`access`)
-/// vs tiled (`access_batch` via [`sweep_kind`]) — same grid, same trace,
-/// same pass structure, so the delta is exactly the lane-parallel front
-/// end.
-fn time_sweep(
-    name: &'static str,
-    trace: &OpTrace,
-    configs: &[MemoConfig],
-    include_infinite: bool,
-) -> SweepRow {
-    let grid = SweepGrid::new(configs, include_infinite).expect("fusable grid");
-    let scalar = bench_median("sweep_grids", &format!("{name}_scalar"), SAMPLES, || {
-        for kind in KINDS {
-            let mut sim = StackSimulator::new(&grid);
-            trace.for_each_kind(kind, |op| sim.access(op));
-            black_box(sim.finish().exact);
-        }
-    });
-    let batched = bench_median("sweep_grids", &format!("{name}_batched"), SAMPLES, || {
-        for kind in KINDS {
-            black_box(sweep_kind([trace], kind, &grid).exact);
-        }
-    });
-    SweepRow { name, points: configs.len(), scalar_ms: scalar * 1e3, batched_ms: batched * 1e3 }
-}
-
 fn main() {
     let cfg = bench_cfg();
     let corpus = mm_inputs(cfg.image_scale);
@@ -130,13 +87,6 @@ fn main() {
     // The record-once economics line, for continuity with earlier runs:
     // replaying beats re-running the kernel natively.
     let app = mm::find("vspatial").expect("registered");
-    let vspatial_trace = {
-        let mut rec = TraceRecorderSink::new();
-        for input in &inputs {
-            app.run(&mut rec, input);
-        }
-        rec.into_trace()
-    };
     bench_median("trace_replay", "vspatial_native_rerun", SAMPLES, || {
         let mut sink = MemoProbeSink::new(SweepSpec::paper_default());
         for input in &inputs {
@@ -145,23 +95,7 @@ fn main() {
         black_box(sink.bank().stats(OpKind::FpDiv));
     });
 
-    // Figure 3/4 grid shapes, timed scalar-vs-batched in the same run.
-    let size_configs: Vec<MemoConfig> = [8usize, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192]
-        .iter()
-        .map(|&entries| MemoConfig::builder(entries).build().expect("valid"))
-        .collect();
-    let assoc_configs: Vec<MemoConfig> =
-        [Assoc::DirectMapped, Assoc::Ways(2), Assoc::Ways(4), Assoc::Ways(8), Assoc::Full]
-            .iter()
-            .map(|&assoc| MemoConfig::builder(32).assoc(assoc).build().expect("valid"))
-            .collect();
-    let sweeps = [
-        time_sweep("figure3_size_grid", &vspatial_trace, &size_configs, false),
-        time_sweep("figure4_assoc_grid", &vspatial_trace, &assoc_configs, true),
-    ];
-
     let mut json = String::from("{\n  \"bench\": \"trace_replay\",\n");
-    let _ = writeln!(json, "  \"batch_width\": {},", batch_width());
     json.push_str("  \"kernels\": [\n");
     for (i, r) in kernels.iter().enumerate() {
         let comma = if i + 1 < kernels.len() { "," } else { "" };
@@ -178,22 +112,8 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"geomean_speedup\": {geomean:.2},");
-    json.push_str("  \"sweeps\": [\n");
-    for (i, r) in sweeps.iter().enumerate() {
-        let comma = if i + 1 < sweeps.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"points\": {}, \"scalar_ms\": {:.3}, \
-             \"batched_ms\": {:.3}, \"speedup\": {:.2}}}{comma}",
-            r.name,
-            r.points,
-            r.scalar_ms,
-            r.batched_ms,
-            r.speedup()
-        );
-    }
-    json.push_str("  ]\n}\n");
+    let _ = writeln!(json, "  \"geomean_speedup\": {geomean:.2}");
+    json.push_str("}\n");
 
     for r in &kernels {
         println!(
@@ -207,16 +127,6 @@ fn main() {
         );
     }
     println!("trace_replay/geomean_speedup: {geomean:.2}x over {} kernels", kernels.len());
-    for r in &sweeps {
-        println!(
-            "sweep_grids/{}: {} points, scalar {:.3} ms vs batched {:.3} ms ({:.2}x)",
-            r.name,
-            r.points,
-            r.scalar_ms,
-            r.batched_ms,
-            r.speedup()
-        );
-    }
 
     let path = "BENCH_replay.json";
     std::fs::write(path, json).expect("write BENCH_replay.json");

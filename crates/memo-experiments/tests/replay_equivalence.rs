@@ -62,7 +62,7 @@ fn every_sci_kernel_replays_bit_identically() {
 /// The batched replay engine (lane-parallel probes, tiled decode) must be
 /// bit-identical to the scalar per-op path on the operand stream of
 /// **every** kernel in the evaluation — at the default tile width and at
-/// the narrowest supported one (maximum partial-tail pressure).
+/// a narrow width of 8 (maximum partial-tail pressure).
 #[test]
 fn batched_replay_matches_scalar_replay_on_every_kernel() {
     fn check(name: &str, app_traces: &[&memo_sim::OpTrace]) {
@@ -73,7 +73,7 @@ fn batched_replay_matches_scalar_replay_on_every_kernel() {
             for trace in app_traces {
                 trace.replay_scalar(&mut scalar);
                 trace.replay(&mut batched);
-                trace.replay_batched(&mut narrow, memo_table::MIN_BATCH_WIDTH);
+                trace.replay_batched(&mut narrow, 8);
             }
             for kind in OpKind::ALL {
                 assert_eq!(

@@ -71,5 +71,5 @@ pub use memoized::MemoizedSink;
 pub use pipeline::{PipelineModel, PipelineReport};
 pub use sweep::sweep_kind;
 pub use event::{CountingSink, Event, EventSink, InstrMix, NullSink, TraceBuffer};
-pub use memo_table::{batch_width, BatchOutcome, OpBatch};
+pub use memo_table::{BatchOutcome, OpBatch};
 pub use trace::{EventTrace, OpIter, OpTrace, TraceDecodeError, TraceRecorderSink, OP_TRACE_VERSION};

@@ -7,7 +7,7 @@
 //! `FpMul` walks only the multiply runs of the trace (the RLE run index
 //! skips everything else without decoding it).
 
-use memo_table::{batch_width, OpKind, StackSimulator, SweepGrid, SweepOutcome};
+use memo_table::{OpKind, StackSimulator, SweepGrid, SweepOutcome};
 
 use crate::trace::OpTrace;
 
@@ -16,20 +16,20 @@ use crate::trace::OpTrace;
 ///
 /// Equivalent to replaying the traces through one dedicated
 /// [`memo_table::MemoTable`] per grid point — bit-identical statistics,
-/// G times fewer passes. The stream flows through the stack engine's
-/// lane-parallel front end ([`StackSimulator::access_batch`]) in
-/// [`batch_width`]-lane tiles. Check [`SweepOutcome::exact`] before
-/// trusting the counters: a mantissa-mode decode failure mid-pass flags
-/// the outcome as inexact and the caller must fall back to direct replay.
+/// G times fewer passes. Operations are decoded run by run and fed to
+/// [`StackSimulator::access`] one at a time; the per-level recency-row
+/// walks dominate the pass, so a lane-parallel front end does not pay
+/// here. Check [`SweepOutcome::exact`] before trusting the counters: a
+/// mantissa-mode decode failure mid-pass flags the outcome as inexact and
+/// the caller must fall back to direct replay.
 pub fn sweep_kind<'a>(
     traces: impl IntoIterator<Item = &'a OpTrace>,
     kind: OpKind,
     grid: &SweepGrid,
 ) -> SweepOutcome {
     let mut sim = StackSimulator::new(grid);
-    let width = batch_width();
     for trace in traces {
-        trace.for_each_kind_batch(kind, width, |tile| sim.access_batch(tile));
+        trace.for_each_kind(kind, |op| sim.access(op));
     }
     sim.finish()
 }

@@ -23,7 +23,7 @@
 //! order, and kinds of the native run — hit ratios and statistics are
 //! bit-identical (asserted by the equivalence tests in `memo-workloads`).
 
-use memo_table::{batch_width, Memoizer, Op, OpBatch, OpKind, MAX_BATCH_WIDTH};
+use memo_table::{Memoizer, Op, OpBatch, OpKind, MAX_BATCH_WIDTH};
 
 use crate::bank::MemoBank;
 use crate::event::{Event, EventSink};
@@ -139,11 +139,11 @@ impl OpTrace {
     /// [`MemoBank::execute`] would see them from a native run.
     ///
     /// Operations flow through the batched path ([`MemoBank::execute_batch`])
-    /// at the ambient tile width ([`batch_width`], overridable via the
-    /// `MEMO_BATCH` environment variable) — bit-identical statistics to
-    /// [`replay_scalar`](Self::replay_scalar), several times faster.
+    /// in [`MAX_BATCH_WIDTH`]-lane tiles — bit-identical statistics to
+    /// [`replay_scalar`](Self::replay_scalar), faster on the paper-default
+    /// tables.
     pub fn replay(&self, bank: &mut MemoBank) {
-        self.replay_batched(bank, batch_width());
+        self.replay_batched(bank, MAX_BATCH_WIDTH);
     }
 
     /// Batched replay at an explicit tile width.
@@ -226,22 +226,8 @@ impl OpTrace {
     /// per-unit sweep used by the size/associativity figures. Batched, like
     /// [`replay`](Self::replay).
     pub fn replay_kind<M: Memoizer>(&self, kind: OpKind, table: &mut M) {
-        self.for_each_kind_batch(kind, batch_width(), |tile| {
+        self.for_each_kind_batch(kind, MAX_BATCH_WIDTH, |tile| {
             table.execute_batch(tile);
-        });
-    }
-
-    /// Per-kind replay through the batched probe path. Alias of
-    /// [`replay_kind`](Self::replay_kind), kept for callers that opted into
-    /// chunked decoding before it became the default.
-    pub fn replay_kind_batched<M: Memoizer>(&self, kind: OpKind, table: &mut M) {
-        self.replay_kind(kind, table);
-    }
-
-    /// Scalar per-kind replay (the per-op oracle for `replay_kind`).
-    pub fn replay_kind_scalar<M: Memoizer>(&self, kind: OpKind, table: &mut M) {
-        self.for_each_kind(kind, |op| {
-            table.execute(op);
         });
     }
 
@@ -339,7 +325,7 @@ impl OpTrace {
     /// accountant) charge per run, while plain sinks see the usual per-op
     /// `record` calls via the trait default.
     pub fn replay_events<S: EventSink>(&self, sink: &mut S) {
-        self.for_each_batch(batch_width(), |tile| sink.record_arith_batch(tile));
+        self.for_each_batch(MAX_BATCH_WIDTH, |tile| sink.record_arith_batch(tile));
     }
 
     fn for_each(&self, mut f: impl FnMut(Op)) {
@@ -719,11 +705,11 @@ impl EventTrace {
     ///
     /// Payload-free runs go through [`EventSink::record_repeated`] and
     /// arithmetic runs through [`EventSink::record_arith_batch`] in
-    /// [`batch_width`]-lane tiles, so batching-aware sinks (the cycle
+    /// [`MAX_BATCH_WIDTH`]-lane tiles, so batching-aware sinks (the cycle
     /// accountant) charge whole runs at once; sinks relying on the trait
     /// defaults observe exactly the historical per-event `record` calls.
     pub fn replay_into<S: EventSink>(&self, sink: &mut S) {
-        let width = batch_width();
+        let width = MAX_BATCH_WIDTH;
         let mut pi = 0usize;
         for run in &self.runs {
             let n = run.len as usize;

@@ -7,7 +7,7 @@
 //! kind and two borrowed operand columns (`a`/`b` as raw bit patterns),
 //! exactly the layout the RLE-run trace format already stores. Batched
 //! consumers hoist the per-kind and per-policy dispatch out of the lane
-//! loop, precompute tags / set indices / trivial masks in plain
+//! loop, precompute set indices and trivial masks in plain
 //! autovectorizable loops over the columns, and fall back to scalar code
 //! only where the table state itself is serial (conflict resolution, LRU
 //! updates, insertions).
@@ -18,33 +18,12 @@
 //! loops over slices that the optimizer can vectorize; correctness never
 //! depends on vectorization.
 
-use std::sync::OnceLock;
-
 use crate::op::{Op, OpKind};
 
-/// Widest lane tile any batched consumer has to handle; per-batch scratch
-/// buffers are stack arrays of this length.
+/// Widest lane tile any batched consumer has to handle, and the width
+/// trace replay tiles at; per-batch scratch buffers are stack arrays of
+/// this length.
 pub const MAX_BATCH_WIDTH: usize = 64;
-
-/// Narrowest useful tile — below this the per-batch setup dominates.
-pub const MIN_BATCH_WIDTH: usize = 8;
-
-/// Default tile width when `MEMO_BATCH` is unset.
-pub const DEFAULT_BATCH_WIDTH: usize = 64;
-
-/// The batch width in force for this process: the `MEMO_BATCH` environment
-/// variable clamped to `[MIN_BATCH_WIDTH, MAX_BATCH_WIDTH]`, or
-/// [`DEFAULT_BATCH_WIDTH`] when unset or unparsable. Read once and cached.
-#[must_use]
-pub fn batch_width() -> usize {
-    static WIDTH: OnceLock<usize> = OnceLock::new();
-    *WIDTH.get_or_init(|| {
-        std::env::var("MEMO_BATCH")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(DEFAULT_BATCH_WIDTH, |w| w.clamp(MIN_BATCH_WIDTH, MAX_BATCH_WIDTH))
-    })
-}
 
 /// A borrowed tile of same-kind operations in structure-of-arrays form.
 ///

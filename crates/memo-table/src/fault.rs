@@ -20,7 +20,11 @@
 //! parity (odd error counts) and SEC-DED (single-correct, double-detect)
 //! can and cannot see, without simulating the code words themselves.
 
+use crate::config::TagPolicy;
+use crate::key::decode_value;
+use crate::op::{Op, Value};
 use crate::rng::SplitMix64;
+use crate::stats::MemoStats;
 
 /// How a memo table protects its entries against soft errors.
 ///
@@ -93,6 +97,89 @@ impl std::fmt::Display for Protection {
         match self {
             Protection::VerifyOnHit { verify_cycles } => write!(f, "verify({verify_cycles})"),
             other => f.write_str(other.label()),
+        }
+    }
+}
+
+/// What a table must do to a matched entry after [`read_checked`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Repair {
+    /// Leave the entry as stored.
+    Keep,
+    /// SEC-DED corrected a single flip: write the clean payload back.
+    Rewrite,
+    /// Corruption detected: invalidate the entry (the hit becomes a miss).
+    Invalidate,
+}
+
+/// The protection ladder every per-unit table runs on a matched entry.
+///
+/// `read` is the payload as it comes out of the array (after any strike
+/// or stuck-at defect), `clean` the payload the entry's check bits were
+/// computed over. Returns the value to serve — `None` downgrades the hit
+/// to a miss — and the repair the caller applies to its own storage. All
+/// fault and bypass counters are charged to `stats` here.
+#[inline]
+pub(crate) fn read_checked(
+    protection: Protection,
+    op: &Op,
+    read: u64,
+    clean: u64,
+    tag: TagPolicy,
+    stats: &mut MemoStats,
+) -> (Option<Value>, Repair) {
+    // A payload the exponent path cannot rebuild for these operands
+    // (mantissa mode only) falls back to the conventional unit.
+    let decode = |stats: &mut MemoStats, bits: u64| {
+        let value = decode_value(op, bits, tag);
+        if value.is_none() {
+            stats.bypasses += 1;
+        }
+        value
+    };
+    let errs = (read ^ clean).count_ones();
+    if errs == 0 {
+        return (decode(stats, read), Repair::Keep);
+    }
+
+    let truth = decode_value(op, clean, tag);
+    let serve_corrupted = |stats: &mut MemoStats| {
+        let seen = decode(stats, read);
+        if seen.is_some() && seen != truth {
+            stats.faults_silent += 1;
+        }
+        (seen, Repair::Keep)
+    };
+    let detected = |stats: &mut MemoStats| {
+        stats.faults_detected += 1;
+        (None, Repair::Invalidate)
+    };
+
+    match protection {
+        Protection::None => serve_corrupted(stats),
+        Protection::ParityDetect if errs % 2 == 1 => detected(stats),
+        // An even error count escapes parity.
+        Protection::ParityDetect => serve_corrupted(stats),
+        Protection::EccSecDed => match errs {
+            1 => {
+                stats.faults_corrected += 1;
+                (decode(stats, clean), Repair::Rewrite)
+            }
+            2 => detected(stats),
+            // Three or more flips exceed SEC-DED's guarantee: treat as an
+            // (undetected) miscorrection and serve the raw read.
+            _ => serve_corrupted(stats),
+        },
+        Protection::VerifyOnHit { .. } => {
+            // The conventional unit recomputes; any served mismatch is
+            // caught. Corruption invisible in the decoded value (unused
+            // stored bits) passes verification legitimately.
+            let seen = decode_value(op, read, tag);
+            if seen.is_some() && seen == truth {
+                (seen, Repair::Keep)
+            } else {
+                detected(stats)
+            }
         }
     }
 }

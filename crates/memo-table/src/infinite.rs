@@ -8,15 +8,13 @@
 
 use std::collections::HashMap;
 
-use crate::batch::{compute_bits, BatchOutcome, OpBatch, MAX_BATCH_WIDTH};
 use crate::config::{TagPolicy, TrivialPolicy};
-use crate::fault::{FaultInjector, Protection};
-use crate::key::{decode_value, encode_tag, encode_value, fill_swapped_tags, fill_tags, Key};
-use crate::key::KeyHashBuilder;
+use crate::fault::{read_checked, FaultInjector, Protection, Repair};
+use crate::key::{encode_tag, encode_value, Key, KeyHashBuilder};
 use crate::op::{Op, Value};
 use crate::stats::MemoStats;
-use crate::table::{Outcome, Probe};
-use crate::trivial::{fill_trivial_lanes, trivial_result};
+use crate::table::Probe;
+use crate::trivial::trivial_result;
 use crate::Memoizer;
 
 #[derive(Debug, Clone, Copy)]
@@ -141,73 +139,16 @@ impl InfiniteMemoTable {
         }
         let Stored { value: read, clean } = *self.entries.get(&key).expect("checked above");
 
-        let errs = (read ^ clean).count_ones();
-        if errs == 0 {
-            return match decode_value(op, read, self.tag) {
-                Some(v) => Some(v),
-                None => {
-                    self.stats.bypasses += 1;
-                    None
-                }
-            };
-        }
-
-        let truth = decode_value(op, clean, self.tag);
-        let serve_corrupted = |table: &mut Self, value: u64| match decode_value(op, value, table.tag)
-        {
-            Some(seen) => {
-                if Some(seen) != truth {
-                    table.stats.faults_silent += 1;
-                }
-                Some(seen)
-            }
-            None => {
-                table.stats.bypasses += 1;
-                None
-            }
-        };
-
-        match self.protection {
-            Protection::None => serve_corrupted(self, read),
-            Protection::ParityDetect => {
-                if errs % 2 == 1 {
-                    self.stats.faults_detected += 1;
-                    self.entries.remove(&key);
-                    None
-                } else {
-                    serve_corrupted(self, read)
-                }
-            }
-            Protection::EccSecDed => match errs {
-                1 => {
-                    self.stats.faults_corrected += 1;
-                    self.entries.get_mut(&key).expect("checked above").value = clean;
-                    match decode_value(op, clean, self.tag) {
-                        Some(v) => Some(v),
-                        None => {
-                            self.stats.bypasses += 1;
-                            None
-                        }
-                    }
-                }
-                2 => {
-                    self.stats.faults_detected += 1;
-                    self.entries.remove(&key);
-                    None
-                }
-                _ => serve_corrupted(self, read),
-            },
-            Protection::VerifyOnHit { .. } => {
-                let seen = decode_value(op, read, self.tag);
-                if seen.is_some() && seen == truth {
-                    seen
-                } else {
-                    self.stats.faults_detected += 1;
-                    self.entries.remove(&key);
-                    None
-                }
+        let (value, repair) =
+            read_checked(self.protection, op, read, clean, self.tag, &mut self.stats);
+        match repair {
+            Repair::Keep => {}
+            Repair::Rewrite => self.entries.get_mut(&key).expect("checked above").value = clean,
+            Repair::Invalidate => {
+                self.entries.remove(&key);
             }
         }
+        value
     }
 }
 
@@ -251,135 +192,6 @@ impl Memoizer for InfiniteMemoTable {
             }
         }
         Probe::Miss
-    }
-
-    /// Batched execution: tags for the whole tile are packed in one
-    /// lane-parallel pass, then each lane resolves against the hash map
-    /// with exactly one lookup per operand order (the scalar path encodes
-    /// the tag up to three times per op — existence check, probe, update).
-    /// Fault-injected or protected tables keep the scalar path, which
-    /// mutates per-probe strike state.
-    fn execute_batch(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
-        if self.injector.is_some() || self.protection != Protection::None {
-            let mut out = BatchOutcome::default();
-            for i in 0..batch.len() {
-                match self.execute(batch.op(i)).outcome {
-                    Outcome::Hit => out.hits += 1,
-                    Outcome::Trivial => out.trivials += 1,
-                    Outcome::Filtered | Outcome::Miss => {}
-                }
-            }
-            return out;
-        }
-
-        let kind = batch.kind();
-        let policy = self.tag;
-        let commutative = self.commutative && kind.is_commutative();
-        let mut out = BatchOutcome::default();
-        let mut start = 0usize;
-        while start < batch.len() {
-            let w = (batch.len() - start).min(MAX_BATCH_WIDTH);
-            let tile = batch.slice(start, w);
-            start += w;
-            let (a, b) = (tile.a(), tile.b());
-
-            let mut trivial = [false; MAX_BATCH_WIDTH];
-            let mut valid = [false; MAX_BATCH_WIDTH];
-            let mut tags = [0u128; MAX_BATCH_WIDTH];
-            let mut swapped_tags = [0u128; MAX_BATCH_WIDTH];
-
-            fill_trivial_lanes(kind, a, b, &mut trivial[..w]);
-            fill_tags(kind, policy, a, b, &mut tags[..w], &mut valid[..w]);
-            if commutative {
-                fill_swapped_tags(kind, policy, a, b, &mut swapped_tags[..w]);
-            }
-
-            for i in 0..w {
-                self.stats.ops_seen += 1;
-                if trivial[i] {
-                    self.stats.trivial_seen += 1;
-                    match self.trivial {
-                        TrivialPolicy::Exclude => continue,
-                        TrivialPolicy::Integrate => {
-                            out.trivials += 1;
-                            continue;
-                        }
-                        TrivialPolicy::Memoize => {}
-                    }
-                }
-                self.stats.table_lookups += 1;
-                if !valid[i] {
-                    self.stats.bypasses += 1;
-                    continue;
-                }
-                let key = Key { kind, tag: tags[i] };
-
-                if let Some(stored) = self.entries.get(&key) {
-                    match policy {
-                        TagPolicy::FullValue => {
-                            self.stats.table_hits += 1;
-                            out.hits += 1;
-                            continue;
-                        }
-                        TagPolicy::MantissaOnly => {
-                            if decode_value(&tile.op(i), stored.value, policy).is_some() {
-                                self.stats.table_hits += 1;
-                                out.hits += 1;
-                                continue;
-                            }
-                            self.stats.bypasses += 1;
-                        }
-                    }
-                }
-
-                if commutative {
-                    let skey = Key { kind, tag: swapped_tags[i] };
-                    if let Some(stored) = self.entries.get(&skey) {
-                        match policy {
-                            TagPolicy::FullValue => {
-                                self.stats.table_hits += 1;
-                                self.stats.commutative_hits += 1;
-                                out.hits += 1;
-                                continue;
-                            }
-                            TagPolicy::MantissaOnly => {
-                                let swapped = tile.op(i).swapped().expect("commutative kind");
-                                if decode_value(&swapped, stored.value, policy).is_some() {
-                                    self.stats.table_hits += 1;
-                                    self.stats.commutative_hits += 1;
-                                    out.hits += 1;
-                                    continue;
-                                }
-                                self.stats.bypasses += 1;
-                            }
-                        }
-                    }
-                }
-
-                // Miss: insert under the own-order key (update semantics —
-                // overwriting a present key counts no insertion).
-                let stored = match policy {
-                    TagPolicy::FullValue => {
-                        let b_lane = if b.is_empty() { a[i] } else { b[i] };
-                        Some(compute_bits(kind, a[i], b_lane))
-                    }
-                    TagPolicy::MantissaOnly => {
-                        let op = tile.op(i);
-                        let encoded = encode_value(&op, op.compute(), policy);
-                        if encoded.is_none() {
-                            self.stats.bypasses += 1;
-                        }
-                        encoded
-                    }
-                };
-                if let Some(value) = stored {
-                    if self.entries.insert(key, Stored { value, clean: value }).is_none() {
-                        self.stats.insertions += 1;
-                    }
-                }
-            }
-        }
-        out
     }
 
     fn update(&mut self, op: Op, result: Value) {

@@ -153,7 +153,7 @@ pub fn set_index(op: &Op, sets: usize, scheme: HashScheme) -> usize {
 /// How a precomputed [`SetSel`] word maps to a set index for a given set
 /// count: the paper's two XOR forms plus the multiplicative mixer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SetForm {
+enum SetForm {
     /// Integer PaperXor: low-bit mask of the XORed operands.
     IntLow,
     /// Floating-point PaperXor: top fraction bits of the XORed mantissas.
@@ -163,7 +163,7 @@ pub(crate) enum SetForm {
 }
 
 /// The mixing form [`set_index`] uses for `kind` under `scheme`.
-pub(crate) fn set_form(kind: OpKind, scheme: HashScheme) -> SetForm {
+fn set_form(kind: OpKind, scheme: HashScheme) -> SetForm {
     match scheme {
         HashScheme::PaperXor => {
             if kind == OpKind::IntMul {
@@ -181,12 +181,11 @@ pub(crate) fn set_form(kind: OpKind, scheme: HashScheme) -> SetForm {
 /// independent of the count — only the final shift/mask depends on it. A
 /// `SetSel` carries the mixed word so a multi-level consumer (the stack
 /// sweep walks one level per distinct set count) pays the mixing once per
-/// operation, and the batched front ends can fill the words lane-parallel
-/// ([`fill_set_words`]).
+/// operation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SetSel {
-    pub(crate) word: u64,
-    pub(crate) form: SetForm,
+    word: u64,
+    form: SetForm,
 }
 
 impl SetSel {
@@ -222,50 +221,6 @@ impl SetSel {
             SetForm::IntLow => (self.word & mask) as usize,
             SetForm::FpHigh => ((self.word >> (FRAC_BITS - n)) & mask) as usize,
             SetForm::Mix => (self.word >> (64 - n)) as usize,
-        }
-    }
-}
-
-/// Column form of [`SetSel::of`]: mix every lane's operands into `out`.
-/// The per-lane form is uniform ([`set_form`]).
-pub(crate) fn fill_set_words(
-    kind: OpKind,
-    scheme: HashScheme,
-    a: &[u64],
-    b: &[u64],
-    out: &mut [u64],
-) {
-    let n = a.len();
-    match scheme {
-        HashScheme::PaperXor => match kind {
-            OpKind::IntMul => {
-                for i in 0..n {
-                    out[i] = a[i] ^ b[i];
-                }
-            }
-            OpKind::FpMul | OpKind::FpDiv => {
-                for i in 0..n {
-                    out[i] = (a[i] ^ b[i]) & FRAC_MASK;
-                }
-            }
-            OpKind::FpSqrt => {
-                for i in 0..n {
-                    out[i] = a[i] & FRAC_MASK;
-                }
-            }
-        },
-        HashScheme::FoldMix => {
-            if kind == OpKind::FpSqrt {
-                for i in 0..n {
-                    out[i] =
-                        (a[i] ^ a[i].rotate_left(31)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                }
-            } else {
-                for i in 0..n {
-                    out[i] =
-                        (a[i] ^ b[i].rotate_left(31)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                }
-            }
         }
     }
 }
@@ -356,106 +311,12 @@ fn rebuild(op: &Op, stored: u64, sign: bool) -> Option<Value> {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-parallel variants over raw operand columns (the batched front end).
-//
-// Each `fill_*` function is the column form of the scalar function above it
-// is named after: one kind/policy dispatch for the whole tile, then a plain
-// loop over the lanes that the optimizer can vectorize. The outputs are
-// bit-identical to calling the scalar function on `batch.op(i)` — asserted
+// Lane-parallel set hashing over raw operand columns (the batched front end
+// of `MemoTable`): one kind/scheme dispatch for the whole tile, then a plain
+// loop over the lanes that the optimizer can vectorize. The output is
+// bit-identical to calling [`set_index`] on `batch.op(i)` — asserted
 // lane-for-lane by the tests at the bottom of this file.
 // ---------------------------------------------------------------------------
-
-/// Biased exponent field of a raw double.
-#[inline]
-fn exp_field(bits: u64) -> u64 {
-    (bits >> FRAC_BITS) & 0x7ff
-}
-
-/// `f64::is_normal` on raw bits.
-#[inline]
-fn is_normal_bits(bits: u64) -> bool {
-    let e = exp_field(bits);
-    e != 0 && e != 0x7ff
-}
-
-/// Column form of [`encode_tag`]: packs each lane's tag into `tags` and
-/// records in `valid` whether the lane is representable under `policy`
-/// (`false` lanes hold garbage tags and must bypass the table).
-///
-/// `b` follows the [`crate::OpBatch`] convention: equal length for binary
-/// kinds, empty for `FpSqrt`.
-pub(crate) fn fill_tags(
-    kind: OpKind,
-    policy: TagPolicy,
-    a: &[u64],
-    b: &[u64],
-    tags: &mut [u128],
-    valid: &mut [bool],
-) {
-    let n = a.len();
-    match (policy, kind) {
-        (TagPolicy::FullValue, OpKind::FpSqrt) => {
-            // `operand_bits` reports the unary operand twice.
-            for i in 0..n {
-                tags[i] = ((a[i] as u128) << 64) | a[i] as u128;
-                valid[i] = true;
-            }
-        }
-        (TagPolicy::FullValue, _) | (TagPolicy::MantissaOnly, OpKind::IntMul) => {
-            for i in 0..n {
-                tags[i] = ((a[i] as u128) << 64) | b[i] as u128;
-                valid[i] = true;
-            }
-        }
-        (TagPolicy::MantissaOnly, OpKind::FpMul | OpKind::FpDiv) => {
-            for i in 0..n {
-                let fa = a[i] & FRAC_MASK;
-                let fb = b[i] & FRAC_MASK;
-                tags[i] = ((fa as u128) << FRAC_BITS) | fb as u128;
-                valid[i] = is_normal_bits(a[i]) && is_normal_bits(b[i]);
-            }
-        }
-        (TagPolicy::MantissaOnly, OpKind::FpSqrt) => {
-            for i in 0..n {
-                let bits = a[i];
-                // Unbiased exponent e = exp_field − 1023 (odd bias), so
-                // e.rem_euclid(2) == (exp_field & 1) ^ 1.
-                let parity = (exp_field(bits) & 1) ^ 1;
-                tags[i] = (((bits & FRAC_MASK) as u128) << 1) | parity as u128;
-                // Positive normals only: sqrt of a negative is NaN.
-                valid[i] = is_normal_bits(bits) && (bits >> 63) == 0;
-            }
-        }
-    }
-}
-
-/// Column form of [`encode_tag`] for the *swapped* operand order of a
-/// commutative kind (`IntMul`/`FpMul` only). Validity is symmetric, so the
-/// caller reuses the mask from [`fill_tags`].
-pub(crate) fn fill_swapped_tags(
-    kind: OpKind,
-    policy: TagPolicy,
-    a: &[u64],
-    b: &[u64],
-    tags: &mut [u128],
-) {
-    debug_assert!(kind.is_commutative());
-    let n = a.len();
-    match (policy, kind) {
-        (TagPolicy::MantissaOnly, OpKind::FpMul) => {
-            for i in 0..n {
-                let fa = a[i] & FRAC_MASK;
-                let fb = b[i] & FRAC_MASK;
-                tags[i] = ((fb as u128) << FRAC_BITS) | fa as u128;
-            }
-        }
-        _ => {
-            for i in 0..n {
-                tags[i] = ((b[i] as u128) << 64) | a[i] as u128;
-            }
-        }
-    }
-}
 
 /// Column form of [`set_index`]. When `swapped` is set the indices are for
 /// the swapped operand order (identical under the symmetric `PaperXor`
@@ -810,47 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_tags_match_scalar_encode() {
-        for kind in OpKind::ALL {
-            let (a, b) = soup_columns(kind);
-            let n = a.len();
-            let mut tags = vec![0u128; n];
-            let mut valid = vec![false; n];
-            for policy in [TagPolicy::FullValue, TagPolicy::MantissaOnly] {
-                fill_tags(kind, policy, &a, &b, &mut tags, &mut valid);
-                for i in 0..n {
-                    let op = lane_op(kind, a[i], *b.get(i).unwrap_or(&0));
-                    let scalar = encode_tag(&op, policy);
-                    assert_eq!(valid[i], scalar.is_some(), "{op} validity under {policy:?}");
-                    if let Some(key) = scalar {
-                        assert_eq!(tags[i], key.tag, "{op} tag under {policy:?}");
-                        assert_eq!(key.kind, kind);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_swapped_tags_match_scalar_encode() {
-        for kind in [OpKind::IntMul, OpKind::FpMul] {
-            let (a, b) = soup_columns(kind);
-            let n = a.len();
-            let mut tags = vec![0u128; n];
-            for policy in [TagPolicy::FullValue, TagPolicy::MantissaOnly] {
-                fill_swapped_tags(kind, policy, &a, &b, &mut tags);
-                for i in 0..n {
-                    let op = lane_op(kind, a[i], b[i]);
-                    let swapped = op.swapped().expect("commutative kind");
-                    if let Some(key) = encode_tag(&swapped, policy) {
-                        assert_eq!(tags[i], key.tag, "swapped {op} tag under {policy:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn lane_set_indices_match_scalar_hash() {
         for kind in OpKind::ALL {
             let (a, b) = soup_columns(kind);
@@ -888,16 +708,10 @@ mod tests {
     fn hoisted_set_selector_matches_scalar_hash() {
         for kind in OpKind::ALL {
             let (a, b) = soup_columns(kind);
-            let n = a.len();
-            let mut words = vec![0u64; n];
             for scheme in [HashScheme::PaperXor, HashScheme::FoldMix] {
-                fill_set_words(kind, scheme, &a, &b, &mut words);
-                let form = set_form(kind, scheme);
-                for i in 0..n {
-                    let op = lane_op(kind, a[i], *b.get(i).unwrap_or(&0));
+                for (i, &ai) in a.iter().enumerate() {
+                    let op = lane_op(kind, ai, *b.get(i).unwrap_or(&0));
                     let sel = SetSel::of(&op, scheme);
-                    assert_eq!(sel.word, words[i], "{op} mix word under {scheme:?}");
-                    assert_eq!(sel.form, form);
                     for sets in [1usize, 2, 8, 64, 1024] {
                         assert_eq!(
                             sel.set(sets),

@@ -74,9 +74,7 @@ mod table;
 mod trivial;
 mod unit;
 
-pub use batch::{
-    batch_width, BatchOutcome, OpBatch, DEFAULT_BATCH_WIDTH, MAX_BATCH_WIDTH, MIN_BATCH_WIDTH,
-};
+pub use batch::{BatchOutcome, OpBatch, MAX_BATCH_WIDTH};
 pub use config::{
     Assoc, HashScheme, MemoConfig, MemoConfigBuilder, MemoConfigError, Replacement, TagPolicy,
     TrivialPolicy, STABLE_ENCODED_LEN, STABLE_ENCODING_VERSION,
@@ -135,21 +133,13 @@ pub trait Memoizer {
     /// Must be observably identical to calling [`execute`] on every lane in
     /// order — same statistics, same table state afterwards — for any tile
     /// width, including partial tails. The default does exactly that;
-    /// concrete tables override it with a lane-parallel front end
-    /// (batched hashing and tag encoding) feeding the same scalar conflict
+    /// [`MemoTable`] overrides it with a lane-parallel front end (batched
+    /// hashing and trivial masks) feeding the same scalar conflict
     /// resolution.
     ///
     /// [`execute`]: Memoizer::execute
     fn execute_batch(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
-        let mut out = BatchOutcome::default();
-        for i in 0..batch.len() {
-            match self.execute(batch.op(i)).outcome {
-                Outcome::Hit => out.hits += 1,
-                Outcome::Trivial => out.trivials += 1,
-                Outcome::Filtered | Outcome::Miss => {}
-            }
-        }
-        out
+        execute_each(self, batch)
     }
 
     /// Statistics accumulated since construction or the last [`reset`]
@@ -170,4 +160,22 @@ pub trait Memoizer {
     fn hit_penalty(&self) -> u32 {
         0
     }
+}
+
+/// [`Memoizer::execute`] on every lane of `batch` in order, tallied — the
+/// trait's default batch path and the fallback of tables whose
+/// lane-parallel path does not apply.
+pub(crate) fn execute_each<M: Memoizer + ?Sized>(
+    table: &mut M,
+    batch: &OpBatch<'_>,
+) -> BatchOutcome {
+    let mut out = BatchOutcome::default();
+    for i in 0..batch.len() {
+        match table.execute(batch.op(i)).outcome {
+            Outcome::Hit => out.hits += 1,
+            Outcome::Trivial => out.trivials += 1,
+            Outcome::Filtered | Outcome::Miss => {}
+        }
+    }
+    out
 }

@@ -25,16 +25,12 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::batch::{OpBatch, MAX_BATCH_WIDTH};
 use crate::config::{HashScheme, MemoConfig, Replacement, TagPolicy, TrivialPolicy};
 use crate::fault::Protection;
-use crate::key::{
-    decode_value, encode_tag, encode_value, fill_set_words, fill_swapped_tags, fill_tags,
-    set_form, Key, KeyHashBuilder, SetSel,
-};
+use crate::key::{decode_value, encode_tag, encode_value, Key, KeyHashBuilder, SetSel};
 use crate::op::{Op, OpKind};
 use crate::stats::MemoStats;
-use crate::trivial::{fill_trivial_lanes, trivial_result};
+use crate::trivial::trivial_result;
 
 /// Empty slot marker in the packed per-set recency rows.
 const NONE: u32 = u32::MAX;
@@ -361,145 +357,6 @@ impl StackSimulator {
         match self.index.get(&canon).copied() {
             Some(id) => self.touch(&op, sel, id, swapped_now),
             None => self.insert(&op, sel, canon, swapped_now),
-        }
-    }
-
-    /// Simulate a same-kind lane tile: the front end (trivial masks, tag
-    /// encoding for both operand orders, canonical-key selection) runs
-    /// lane-parallel over the operand columns; each lane then resolves
-    /// through the same `touch`/`insert` walk as [`StackSimulator::access`],
-    /// in lane order, so the outcome is bit-identical to scalar accesses.
-    ///
-    /// Full-value grids take a leaner path: every lane is encodable and the
-    /// pass can never go inexact, so tags fold inline from the operand
-    /// columns (no tag/validity scratch arrays) and only the trivial mask
-    /// is filled lane-parallel.
-    pub fn access_batch(&mut self, batch: &OpBatch<'_>) {
-        if self.tag == TagPolicy::FullValue {
-            self.access_batch_full(batch);
-        } else {
-            self.access_batch_lanes(batch);
-        }
-    }
-
-    /// Full-value lane resolve (see [`StackSimulator::access_batch`]).
-    fn access_batch_full(&mut self, batch: &OpBatch<'_>) {
-        if !self.exact {
-            return;
-        }
-        let kind = batch.kind();
-        let commutative = self.commutative && kind.is_commutative();
-        let unary = batch.b().is_empty();
-        let form = set_form(kind, self.hash);
-        let mut start = 0usize;
-        while start < batch.len() {
-            let w = (batch.len() - start).min(MAX_BATCH_WIDTH);
-            let a = &batch.a()[start..start + w];
-            let b = if unary { &[][..] } else { &batch.b()[start..start + w] };
-            start += w;
-
-            let mut trivial = [false; MAX_BATCH_WIDTH];
-            let mut words = [0u64; MAX_BATCH_WIDTH];
-            fill_trivial_lanes(kind, a, b, &mut trivial[..w]);
-            fill_set_words(kind, self.hash, a, b, &mut words[..w]);
-
-            for i in 0..w {
-                self.ops_seen += 1;
-                if trivial[i] {
-                    self.trivial_seen += 1;
-                    if self.filter_trivials {
-                        continue;
-                    }
-                }
-                self.table_lookups += 1;
-                let ai = a[i];
-                let bi = if unary { ai } else { b[i] };
-                let tag = ((ai as u128) << 64) | bi as u128;
-                let (canon, swapped_now) = if commutative {
-                    let stag = ((bi as u128) << 64) | ai as u128;
-                    if stag < tag {
-                        (Key { kind, tag: stag }, true)
-                    } else {
-                        (Key { kind, tag }, false)
-                    }
-                } else {
-                    (Key { kind, tag }, false)
-                };
-                let op = match kind {
-                    OpKind::IntMul => Op::IntMul(ai as i64, bi as i64),
-                    OpKind::FpMul => Op::FpMul(f64::from_bits(ai), f64::from_bits(bi)),
-                    OpKind::FpDiv => Op::FpDiv(f64::from_bits(ai), f64::from_bits(bi)),
-                    OpKind::FpSqrt => Op::FpSqrt(f64::from_bits(ai)),
-                };
-                let sel = SetSel { word: words[i], form };
-                match self.index.get(&canon).copied() {
-                    Some(id) => self.touch(&op, sel, id, swapped_now),
-                    None => self.insert(&op, sel, canon, swapped_now),
-                }
-            }
-        }
-    }
-
-    /// Generic (mantissa-only) lane resolve: tags and validity are filled
-    /// through the shared column encoders, and the mid-tile `exact` check
-    /// silences the stream at the same lane a scalar pass would.
-    fn access_batch_lanes(&mut self, batch: &OpBatch<'_>) {
-        let kind = batch.kind();
-        let commutative = self.commutative && kind.is_commutative();
-        let form = set_form(kind, self.hash);
-        let mut start = 0usize;
-        while start < batch.len() {
-            if !self.exact {
-                return;
-            }
-            let w = (batch.len() - start).min(MAX_BATCH_WIDTH);
-            let tile = batch.slice(start, w);
-            start += w;
-            let (a, b) = (tile.a(), tile.b());
-
-            let mut trivial = [false; MAX_BATCH_WIDTH];
-            let mut valid = [false; MAX_BATCH_WIDTH];
-            let mut tags = [0u128; MAX_BATCH_WIDTH];
-            let mut swapped_tags = [0u128; MAX_BATCH_WIDTH];
-            let mut words = [0u64; MAX_BATCH_WIDTH];
-
-            fill_trivial_lanes(kind, a, b, &mut trivial[..w]);
-            fill_set_words(kind, self.hash, a, b, &mut words[..w]);
-            fill_tags(kind, self.tag, a, b, &mut tags[..w], &mut valid[..w]);
-            if commutative {
-                fill_swapped_tags(kind, self.tag, a, b, &mut swapped_tags[..w]);
-            }
-
-            for i in 0..w {
-                // A mantissa poison mid-tile must silence the rest of the
-                // stream exactly like scalar `access` does.
-                if !self.exact {
-                    return;
-                }
-                self.ops_seen += 1;
-                if trivial[i] {
-                    self.trivial_seen += 1;
-                    if self.filter_trivials {
-                        continue;
-                    }
-                }
-                self.table_lookups += 1;
-                if !valid[i] {
-                    self.bypasses += 1;
-                    continue;
-                }
-                let (canon, swapped_now) = if commutative && swapped_tags[i] < tags[i] {
-                    (Key { kind, tag: swapped_tags[i] }, true)
-                } else {
-                    (Key { kind, tag: tags[i] }, false)
-                };
-                let op = tile.op(i);
-                let sel = SetSel { word: words[i], form };
-                match self.index.get(&canon).copied() {
-                    Some(id) => self.touch(&op, sel, id, swapped_now),
-                    None => self.insert(&op, sel, canon, swapped_now),
-                }
-            }
         }
     }
 

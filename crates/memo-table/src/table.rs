@@ -2,15 +2,12 @@
 
 use crate::batch::{compute_bits, BatchOutcome, OpBatch, MAX_BATCH_WIDTH};
 use crate::config::{HashScheme, MemoConfig, Replacement, TagPolicy, TrivialPolicy};
-use crate::fault::{FaultInjector, Protection};
-use crate::key::{
-    decode_value, encode_tag, encode_value, fill_set_indices, fill_swapped_tags, fill_tags,
-    set_index, Key,
-};
+use crate::fault::{read_checked, FaultInjector, Protection, Repair};
+use crate::key::{encode_tag, encode_value, fill_set_indices, set_index, Key};
 use crate::op::{Op, Value};
 use crate::stats::MemoStats;
 use crate::trivial::{fill_trivial_lanes, trivial_result};
-use crate::Memoizer;
+use crate::{execute_each, Memoizer};
 
 /// Result of presenting operands to a memo table (the lookup phase).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -314,83 +311,16 @@ impl MemoTable {
             }
         }
 
-        let tag = self.cfg.tag();
-        let errs = (read ^ clean).count_ones();
-        if errs == 0 {
-            return match decode_value(op, read, tag) {
-                Some(v) => Some(v),
-                None => {
-                    // Tag matched but the exponent path cannot reconstruct
-                    // the result for these operands (mantissa mode only):
-                    // the hardware falls back to the conventional unit.
-                    self.stats.bypasses += 1;
-                    None
-                }
-            };
+        let (value, repair) =
+            read_checked(self.cfg.protection(), op, read, clean, self.cfg.tag(), &mut self.stats);
+        match repair {
+            Repair::Keep => {}
+            Repair::Rewrite => {
+                self.slots[slot].as_mut().expect("matched slot is valid").value = clean;
+            }
+            Repair::Invalidate => self.slots[slot] = None,
         }
-
-        let truth = decode_value(op, clean, tag);
-        let serve_corrupted = |table: &mut Self, value: u64| match decode_value(op, value, tag) {
-            Some(seen) => {
-                if Some(seen) != truth {
-                    table.stats.faults_silent += 1;
-                }
-                Some(seen)
-            }
-            None => {
-                table.stats.bypasses += 1;
-                None
-            }
-        };
-
-        match self.cfg.protection() {
-            Protection::None => serve_corrupted(self, read),
-            Protection::ParityDetect => {
-                if errs % 2 == 1 {
-                    self.stats.faults_detected += 1;
-                    self.slots[slot] = None;
-                    None
-                } else {
-                    // An even error count escapes parity.
-                    serve_corrupted(self, read)
-                }
-            }
-            Protection::EccSecDed => match errs {
-                1 => {
-                    self.stats.faults_corrected += 1;
-                    let entry = self.slots[slot].as_mut().expect("matched slot is valid");
-                    entry.value = clean;
-                    match decode_value(op, clean, tag) {
-                        Some(v) => Some(v),
-                        None => {
-                            self.stats.bypasses += 1;
-                            None
-                        }
-                    }
-                }
-                2 => {
-                    self.stats.faults_detected += 1;
-                    self.slots[slot] = None;
-                    None
-                }
-                // Three or more flips exceed SEC-DED's guarantee: treat as
-                // an (undetected) miscorrection and serve the raw read.
-                _ => serve_corrupted(self, read),
-            },
-            Protection::VerifyOnHit { .. } => {
-                // The conventional unit recomputes; any served mismatch is
-                // caught. Corruption invisible in the decoded value (unused
-                // stored bits) passes verification legitimately.
-                let seen = decode_value(op, read, tag);
-                if seen.is_some() && seen == truth {
-                    seen
-                } else {
-                    self.stats.faults_detected += 1;
-                    self.slots[slot] = None;
-                    None
-                }
-            }
-        }
+        value
     }
 
     /// Probe for `op` with its tag and set already derived. Returns the
@@ -574,146 +504,6 @@ impl MemoTable {
         self.stats.commutative_hits += comm_hits;
         out
     }
-
-    /// Lane-parallel batch execution for fault-free, unprotected tables
-    /// (the mantissa-only generic path; full-value tables take
-    /// [`Self::execute_batch_lanes_full`]).
-    ///
-    /// The per-op front end — trivial classification, tag encoding, set
-    /// hashing (for both operand orders of a commutative kind) — runs as
-    /// plain loops over the operand columns, one kind/policy dispatch per
-    /// tile. The serial half (set scans, LRU stamps, insertions) then
-    /// replays the exact scalar decision sequence per lane, calling the
-    /// same `lookup_in_set`/`insert` helpers in the same order so every
-    /// clock tick, stamp, and statistics increment lands identically to
-    /// [`Memoizer::execute`] on each lane in turn.
-    fn execute_batch_lanes(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
-        debug_assert!(self.injector.is_none() && self.cfg.protection() == Protection::None);
-        let kind = batch.kind();
-        let policy = self.cfg.tag();
-        let scheme = self.cfg.hash();
-        let sets = self.cfg.sets();
-        let trivial_policy = self.cfg.trivial();
-        let commutative = self.cfg.commutative() && kind.is_commutative();
-        // PaperXor is symmetric under operand swap; only FoldMix needs a
-        // second hash column for the swapped probe.
-        let swap_hashes = commutative && scheme == HashScheme::FoldMix;
-
-        let mut out = BatchOutcome::default();
-        let mut start = 0usize;
-        while start < batch.len() {
-            let w = (batch.len() - start).min(MAX_BATCH_WIDTH);
-            let tile = batch.slice(start, w);
-            start += w;
-            let (a, b) = (tile.a(), tile.b());
-
-            let mut trivial = [false; MAX_BATCH_WIDTH];
-            let mut valid = [false; MAX_BATCH_WIDTH];
-            let mut tags = [0u128; MAX_BATCH_WIDTH];
-            let mut set_idx = [0u32; MAX_BATCH_WIDTH];
-            let mut swapped_tags = [0u128; MAX_BATCH_WIDTH];
-            let mut swapped_set_idx = [0u32; MAX_BATCH_WIDTH];
-
-            fill_trivial_lanes(kind, a, b, &mut trivial[..w]);
-            fill_tags(kind, policy, a, b, &mut tags[..w], &mut valid[..w]);
-            fill_set_indices(kind, scheme, sets, a, b, false, &mut set_idx[..w]);
-            if commutative {
-                fill_swapped_tags(kind, policy, a, b, &mut swapped_tags[..w]);
-                if swap_hashes {
-                    fill_set_indices(kind, scheme, sets, a, b, true, &mut swapped_set_idx[..w]);
-                }
-            }
-
-            for i in 0..w {
-                self.stats.ops_seen += 1;
-                if trivial[i] {
-                    self.stats.trivial_seen += 1;
-                    match trivial_policy {
-                        TrivialPolicy::Exclude => continue,
-                        TrivialPolicy::Integrate => {
-                            out.trivials += 1;
-                            continue;
-                        }
-                        TrivialPolicy::Memoize => {}
-                    }
-                }
-                self.stats.table_lookups += 1;
-                if !valid[i] {
-                    self.stats.bypasses += 1;
-                    continue;
-                }
-                let key = Key { kind, tag: tags[i] };
-                let set = set_idx[i] as usize;
-
-                if let Some(slot) = self.lookup_in_set(set, key) {
-                    match policy {
-                        // Full-value payloads always decode; the value
-                        // itself is not materialized here.
-                        TagPolicy::FullValue => {
-                            self.stats.table_hits += 1;
-                            out.hits += 1;
-                            continue;
-                        }
-                        TagPolicy::MantissaOnly => {
-                            let read =
-                                self.slots[slot].as_ref().expect("matched slot is valid").value;
-                            if decode_value(&tile.op(i), read, policy).is_some() {
-                                self.stats.table_hits += 1;
-                                out.hits += 1;
-                                continue;
-                            }
-                            // Exponent path cannot reconstruct: falls
-                            // through to the swapped probe, then insert.
-                            self.stats.bypasses += 1;
-                        }
-                    }
-                }
-
-                if commutative {
-                    let skey = Key { kind, tag: swapped_tags[i] };
-                    let sset = if swap_hashes { swapped_set_idx[i] as usize } else { set };
-                    if let Some(slot) = self.lookup_in_set(sset, skey) {
-                        match policy {
-                            TagPolicy::FullValue => {
-                                self.stats.table_hits += 1;
-                                self.stats.commutative_hits += 1;
-                                out.hits += 1;
-                                continue;
-                            }
-                            TagPolicy::MantissaOnly => {
-                                let read =
-                                    self.slots[slot].as_ref().expect("matched slot is valid").value;
-                                let swapped = tile.op(i).swapped().expect("commutative kind");
-                                if decode_value(&swapped, read, policy).is_some() {
-                                    self.stats.table_hits += 1;
-                                    self.stats.commutative_hits += 1;
-                                    out.hits += 1;
-                                    continue;
-                                }
-                                self.stats.bypasses += 1;
-                            }
-                        }
-                    }
-                }
-
-                // Miss: compute and insert, reusing the derived key/set.
-                match policy {
-                    TagPolicy::FullValue => {
-                        let b_lane = if b.is_empty() { a[i] } else { b[i] };
-                        self.insert(set, key, compute_bits(kind, a[i], b_lane));
-                    }
-                    TagPolicy::MantissaOnly => {
-                        let op = tile.op(i);
-                        match encode_value(&op, op.compute(), policy) {
-                            Some(stored) => self.insert(set, key, stored),
-                            None => self.stats.bypasses += 1,
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 impl Memoizer for MemoTable {
@@ -750,25 +540,20 @@ impl Memoizer for MemoTable {
         }
     }
 
-    /// Batched execution with a lane-parallel front end. Fault injection
-    /// and protection scrubbing mutate per-probe state (strike draws,
-    /// scrubs, invalidations), so protected or fault-injected tables take
-    /// the scalar path — still batch-decoded, still bit-identical.
+    /// Batched execution. Fault-free, unprotected full-value tables — the
+    /// paper default and the hot path of every replay — take the
+    /// lane-parallel front end. Everything else runs [`Memoizer::execute`]
+    /// per lane: fault injection and protection mutate per-probe state
+    /// (strike draws, scrubs, invalidations), and mantissa-only tags are
+    /// too rare on the experiment workloads for a second lane path to pay.
     fn execute_batch(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
-        if self.injector.is_some() || self.cfg.protection() != Protection::None {
-            let mut out = BatchOutcome::default();
-            for i in 0..batch.len() {
-                match self.execute(batch.op(i)).outcome {
-                    Outcome::Hit => out.hits += 1,
-                    Outcome::Trivial => out.trivials += 1,
-                    Outcome::Filtered | Outcome::Miss => {}
-                }
-            }
-            return out;
-        }
-        match self.cfg.tag() {
-            TagPolicy::FullValue => self.execute_batch_lanes_full(batch),
-            TagPolicy::MantissaOnly => self.execute_batch_lanes(batch),
+        if self.injector.is_none()
+            && self.cfg.protection() == Protection::None
+            && self.cfg.tag() == TagPolicy::FullValue
+        {
+            self.execute_batch_lanes_full(batch)
+        } else {
+            execute_each(self, batch)
         }
     }
 
@@ -1227,59 +1012,5 @@ mod tests {
         assert!(Outcome::Trivial.avoided_computation());
         assert!(!Outcome::Filtered.avoided_computation());
         assert!(!Outcome::Miss.avoided_computation());
-    }
-
-    #[test]
-    #[ignore = "manual perf probe; run with --release --ignored --nocapture"]
-    fn batch_perf_probe() {
-        use crate::config::HashScheme;
-        use crate::key::{fill_set_indices, fill_swapped_tags, fill_tags};
-        use crate::trivial::fill_trivial_lanes;
-        use crate::OpBatch;
-        use std::hint::black_box;
-        use std::time::Instant;
-
-        let pool: Vec<u64> = (0..16).map(|i| (f64::from(i) + 2.25).to_bits()).collect();
-        let n = 1usize << 20;
-        let a: Vec<u64> = (0..n).map(|i| pool[(i * 7) % 16]).collect();
-        let b: Vec<u64> = (0..n).map(|i| pool[(i * 13) % 16]).collect();
-        let kind = crate::OpKind::FpMul;
-        let per = |d: std::time::Duration| d.as_nanos() as f64 / n as f64;
-
-        let mut t = MemoTable::new(MemoConfig::paper_default());
-        let start = Instant::now();
-        for i in 0..n {
-            black_box(t.execute(Op::FpMul(f64::from_bits(a[i]), f64::from_bits(b[i]))));
-        }
-        let d = start.elapsed();
-        println!("scalar:  {:>7.2} ns/op  hits={}", per(d), t.stats().table_hits);
-
-        let mut t = MemoTable::new(MemoConfig::paper_default());
-        let batch = OpBatch::new(kind, &a, &b);
-        let start = Instant::now();
-        let out = t.execute_batch(&batch);
-        let d = start.elapsed();
-        println!("batched: {:>7.2} ns/op  hits={}", per(d), out.hits);
-
-        // Fills alone, over 64-lane tiles.
-        let cfg = MemoConfig::paper_default();
-        let start = Instant::now();
-        let mut acc = 0u64;
-        for s in (0..n).step_by(64) {
-            let (la, lb) = (&a[s..s + 64], &b[s..s + 64]);
-            let mut trivial = [false; 64];
-            let mut valid = [false; 64];
-            let mut tags = [0u128; 64];
-            let mut set_idx = [0u32; 64];
-            let mut swapped = [0u128; 64];
-            fill_trivial_lanes(kind, la, lb, &mut trivial);
-            fill_tags(kind, cfg.tag(), la, lb, &mut tags, &mut valid);
-            fill_set_indices(kind, HashScheme::PaperXor, cfg.sets(), la, lb, false, &mut set_idx);
-            fill_swapped_tags(kind, cfg.tag(), la, lb, &mut swapped);
-            acc ^= tags[0] as u64 ^ u64::from(set_idx[63]) ^ swapped[31] as u64;
-        }
-        let d = start.elapsed();
-        black_box(acc);
-        println!("fills:   {:>7.2} ns/op", per(d));
     }
 }

@@ -1,84 +1,21 @@
-//! Property tests: the batched execution paths must be *observably
-//! identical* to the scalar ones — same statistics, same table state,
+//! Property tests: `MemoTable`'s batched execution must be *observably
+//! identical* to its scalar path — same statistics, same table state,
 //! same per-op outcome tallies — for every configuration in the design
 //! space, every tile width (including ragged tails), and operand streams
 //! that exercise commutative-pair orientation, trivial operands, and
 //! mantissa-hostile values.
 //!
-//! The oracle is the scalar `Memoizer::execute` loop (also reachable as
-//! the trait's provided `execute_batch` default); the subject is each
-//! table's lane-parallel override driven through uneven batch slices.
+//! The oracle is the scalar `Memoizer::execute` loop; the subject is the
+//! table's `execute_batch` driven through uneven batch slices. The
+//! independent oracle for both is `reference_model.rs`.
 
-use memo_table::rng::SplitMix64;
+mod common;
+
+use common::stream;
 use memo_table::{
-    Assoc, BatchOutcome, HashScheme, InfiniteMemoTable, MemoConfig, MemoStats, MemoTable, Memoizer, OpBatch, OpKind, Outcome, Protection, Replacement, StackSimulator, SweepGrid, TagPolicy,
-    TrivialPolicy,
+    Assoc, BatchOutcome, HashScheme, MemoConfig, MemoStats, MemoTable, Memoizer, OpBatch, OpKind,
+    Outcome, Protection, Replacement, TagPolicy, TrivialPolicy,
 };
-
-/// Deterministic same-kind operand columns with the hazards the batched
-/// front end must classify exactly like the scalar one:
-///
-/// * **reuse** — earlier pairs are replayed so hits occur at every depth;
-/// * **orientation** — replayed commutative pairs are emitted in *swapped*
-///   order about half the time, exercising the second-probe / canonical-key
-///   logic and the orientation bit kept by the stack simulator;
-/// * **trivial operands** — 0 / ±0 / 1 at a healthy rate;
-/// * **mantissa-hostile values** — NaN, infinities, subnormals, negative
-///   sqrt inputs, and magnitudes that overflow the mantissa-only
-///   recombination, forcing encode/decode bypasses.
-fn stream(kind: OpKind, seed: u64, len: usize) -> (Vec<u64>, Vec<u64>) {
-    let mut rng = SplitMix64::new(seed).split(kind.label());
-    let mut a = Vec::with_capacity(len);
-    let mut b = Vec::with_capacity(len);
-    let mut history: Vec<(u64, u64)> = Vec::new();
-
-    let fp_value = |rng: &mut SplitMix64| -> u64 {
-        match rng.next_u64() % 16 {
-            0 => 0.0f64.to_bits(),
-            1 => (-0.0f64).to_bits(),
-            2 => 1.0f64.to_bits(),
-            3 => f64::INFINITY.to_bits(),
-            4 => f64::NAN.to_bits(),
-            5 => (f64::MIN_POSITIVE / 2.0).to_bits(), // subnormal
-            6 => 1.5e300f64.to_bits(),                // exponent-sum overflow
-            7 => 1.5e-300f64.to_bits(),               // exponent-sum underflow
-            _ => {
-                // A small lattice of normal values so reuse happens even
-                // without explicit history replay.
-                let frac = (rng.next_u64() % 8) as f64 / 8.0;
-                let exp = (rng.next_u64() % 7) as i32 - 3;
-                let sign = if rng.next_u64().is_multiple_of(4) { -1.0 } else { 1.0 };
-                (sign * (1.0 + frac) * f64::powi(2.0, exp)).to_bits()
-            }
-        }
-    };
-    let int_value = |rng: &mut SplitMix64| -> u64 {
-        const POOL: [i64; 10] = [0, 1, -1, 2, 3, 7, 42, -5, 255, i64::MIN];
-        POOL[(rng.next_u64() % POOL.len() as u64) as usize] as u64
-    };
-
-    for _ in 0..len {
-        let replay = !history.is_empty() && rng.next_u64().is_multiple_of(4);
-        let (x, y) = if replay {
-            let (px, py) = history[(rng.next_u64() as usize) % history.len()];
-            if rng.next_u64().is_multiple_of(2) {
-                (py, px) // swapped orientation
-            } else {
-                (px, py)
-            }
-        } else if kind == OpKind::IntMul {
-            (int_value(&mut rng), int_value(&mut rng))
-        } else {
-            (fp_value(&mut rng), fp_value(&mut rng))
-        };
-        history.push((x, y));
-        a.push(x);
-        if kind != OpKind::FpSqrt {
-            b.push(y);
-        }
-    }
-    (a, b)
-}
 
 /// Scalar oracle: per-op `execute` loop, tallying outcomes like
 /// `BatchOutcome` does.
@@ -222,95 +159,6 @@ fn finite_table_secondary_axes_full_cross() {
                         );
                     }
                 }
-            }
-        }
-    }
-}
-
-/// The infinite reference table must match too — it has its own batched
-/// override (and its own hasher), so it gets its own sweep over policies.
-#[test]
-fn infinite_table_batched_equals_scalar() {
-    for kind in OpKind::ALL {
-        let (a, b) = stream(kind, 0x1998_0003, 480);
-        for tag in [TagPolicy::FullValue, TagPolicy::MantissaOnly] {
-            for trivial in TRIVIALS {
-                for commutative in [false, true] {
-                    for protection in Protection::ALL {
-                        let make = || {
-                            Box::new(
-                                InfiniteMemoTable::with_policies(tag, trivial, commutative)
-                                    .with_protection(protection),
-                            )
-                        };
-                        let label = format!(
-                            "infinite {} tag={tag:?} trivial={trivial:?} \
-                             commutative={commutative} protection={protection:?}",
-                            kind.label()
-                        );
-                        assert_equivalent(make(), make(), kind, &a, &b, &label);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The fused stack-distance sweep: `access_batch` must produce the exact
-/// per-configuration stats `access` does, across the whole grid plus the
-/// infinite column, for both tag policies (the mantissa path can poison
-/// exactness mid-stream — the batched path must stop at the same op).
-#[test]
-fn stack_simulator_batched_equals_scalar() {
-    let assocs = [Assoc::DirectMapped, Assoc::Ways(2), Assoc::Ways(4), Assoc::Full];
-    for kind in OpKind::ALL {
-        let (a, b) = stream(kind, 0x1998_0004, 480);
-        let batch = OpBatch::new(kind, &a, &b);
-        for tag in [TagPolicy::FullValue, TagPolicy::MantissaOnly] {
-            for commutative in [false, true] {
-                let configs: Vec<MemoConfig> = [8usize, 32, 128]
-                    .iter()
-                    .flat_map(|&entries| {
-                        assocs.iter().map(move |&assoc| {
-                            MemoConfig::builder(entries)
-                                .assoc(assoc)
-                                .tag(tag)
-                                .commutative(commutative)
-                                .build()
-                                .expect("valid config")
-                        })
-                    })
-                    .collect();
-                // The infinite column is only exact for the policies the
-                // reference table models (FullValue, commutative).
-                let include_infinite = tag == TagPolicy::FullValue && commutative;
-                let grid = SweepGrid::new(&configs, include_infinite).expect("valid grid");
-
-                let mut scalar = StackSimulator::new(&grid);
-                for i in 0..batch.len() {
-                    scalar.access(batch.op(i));
-                }
-                let mut batched = StackSimulator::new(&grid);
-                const WIDTHS: [usize; 6] = [3, 64, 1, 17, 64, 9];
-                let mut start = 0;
-                let mut wi = 0;
-                while start < batch.len() {
-                    let w = WIDTHS[wi % WIDTHS.len()].min(batch.len() - start);
-                    batched.access_batch(&batch.slice(start, w));
-                    start += w;
-                    wi += 1;
-                }
-
-                let want = scalar.finish();
-                let got = batched.finish();
-                let label =
-                    format!("sweep {} tag={tag:?} commutative={commutative}", kind.label());
-                assert_eq!(got.exact, want.exact, "{label}: exactness flag diverged");
-                assert_eq!(
-                    got.finite, want.finite,
-                    "{label}: finite grid stats diverged"
-                );
-                assert_eq!(got.infinite, want.infinite, "{label}: infinite column diverged");
             }
         }
     }
