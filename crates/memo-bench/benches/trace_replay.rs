@@ -8,10 +8,12 @@
 //! Results are written to `BENCH_replay.json`: one scalar/batched median
 //! pair per kernel (every MM application and both scientific suites) and
 //! a geometric-mean speedup. CI archives the file and fails if the
-//! batched path is slower than its scalar baseline.
+//! batched path is slower than its scalar baseline. The two paths'
+//! samples are taken interleaved, so machine noise hits both alike.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::time::Instant;
 
 use memo_bench::{bench_cfg, bench_median};
 use memo_sim::{MemoBank, OpTrace, TraceRecorderSink};
@@ -36,26 +38,57 @@ impl KernelRow {
     }
 }
 
+/// Median seconds per call of `a` and of `b` after one warmup each. The
+/// samples interleave `a b`, `b a`, `a b`, ... so a slow stretch on a
+/// shared machine lands on both sides alike instead of on whichever side
+/// was timed during it.
+fn median_pair(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    fn time(f: &mut impl FnMut()) -> f64 {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_secs_f64()
+    }
+    fn median(mut times: Vec<f64>) -> f64 {
+        times.sort_by(f64::total_cmp);
+        times[times.len() / 2]
+    }
+    a();
+    b();
+    let (mut ta, mut tb) = (Vec::with_capacity(SAMPLES), Vec::with_capacity(SAMPLES));
+    for i in 0..SAMPLES {
+        if i % 2 == 0 {
+            ta.push(time(&mut a));
+            tb.push(time(&mut b));
+        } else {
+            tb.push(time(&mut b));
+            ta.push(time(&mut a));
+        }
+    }
+    (median(ta), median(tb))
+}
+
 fn time_kernel(
     name: &'static str,
     suite: &'static str,
     traces: &[&OpTrace],
 ) -> KernelRow {
     let ops = traces.iter().map(|t| t.len()).sum();
-    let scalar = bench_median("trace_replay", &format!("{name}_scalar"), SAMPLES, || {
-        let mut bank = MemoBank::paper_default();
-        for trace in traces {
-            trace.replay_scalar(&mut bank);
-        }
-        black_box(bank.stats(OpKind::FpMul));
-    });
-    let batched = bench_median("trace_replay", &format!("{name}_batched"), SAMPLES, || {
-        let mut bank = MemoBank::paper_default();
-        for trace in traces {
-            trace.replay(&mut bank);
-        }
-        black_box(bank.stats(OpKind::FpMul));
-    });
+    let (scalar, batched) = median_pair(
+        || {
+            let mut bank = MemoBank::paper_default();
+            for trace in traces {
+                trace.replay_scalar(&mut bank);
+            }
+            black_box(bank.stats(OpKind::FpMul));
+        },
+        || {
+            let mut bank = MemoBank::paper_default();
+            for trace in traces {
+                trace.replay(&mut bank);
+            }
+            black_box(bank.stats(OpKind::FpMul));
+        },
+    );
     KernelRow { name, suite, ops, scalar_ms: scalar * 1e3, batched_ms: batched * 1e3 }
 }
 

@@ -25,7 +25,6 @@ use memo_sim::{
     NullSink,
 };
 use memo_table::{FaultConfig, FaultInjector, MemoConfig, MemoTable, OpKind, Protection};
-use memo_workloads::suite::mm_inputs;
 use memo_workloads::{mm, sci};
 
 use crate::error::find_mm;
@@ -366,16 +365,20 @@ pub struct TransparencyReport {
 /// policy's read path (the ECC corrector and parity checker must be
 /// no-ops on clean entries).
 ///
+/// The MM kernels run in parallel over the cached corpus; each is
+/// independent, and the verdicts are read back in registry order.
+///
 /// # Errors
 ///
 /// Returns [`ExperimentError::Transparency`] naming the first diverging
 /// kernel.
 pub fn check_transparency(cfg: ExpConfig) -> Result<TransparencyReport, ExperimentError> {
-    let corpus = mm_inputs(cfg.image_scale);
+    let corpus = traces::corpus(cfg.image_scale);
     let mut report = TransparencyReport::default();
 
-    for app in &mm::apps() {
-        for (protection, c) in Protection::ALL.iter().cycle().zip(&corpus) {
+    let mm_ops = parallel::par_map(mm::apps(), |app| {
+        let mut ops = 0;
+        for (protection, c) in Protection::ALL.iter().cycle().zip(corpus.iter()) {
             let expected = app.run(&mut NullSink, &c.image);
             let mut memo = MemoizedSink::new(faulty_bank(*protection, 0.0, 0));
             let got = app.run(&mut memo, &c.image);
@@ -388,12 +391,16 @@ pub fn check_transparency(cfg: ExpConfig) -> Result<TransparencyReport, Experime
                     ),
                 });
             }
-            report.ops_compared += MEMO_KINDS
+            ops += MEMO_KINDS
                 .iter()
                 .filter_map(|&k| memo.bank().stats(k))
                 .map(|s| s.ops_seen)
                 .sum::<u64>();
         }
+        Ok(ops)
+    });
+    for ops in mm_ops {
+        report.ops_compared += ops?;
         report.mm_apps += 1;
     }
 

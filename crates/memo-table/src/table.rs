@@ -4,7 +4,7 @@ use crate::batch::{compute_bits, BatchOutcome, OpBatch, MAX_BATCH_WIDTH};
 use crate::config::{HashScheme, MemoConfig, Replacement, TagPolicy, TrivialPolicy};
 use crate::fault::{read_checked, FaultInjector, Protection, Repair};
 use crate::key::{encode_tag, encode_value, fill_set_indices, set_index, Key};
-use crate::op::{Op, Value};
+use crate::op::{Op, OpKind, Value};
 use crate::stats::MemoStats;
 use crate::trivial::{fill_trivial_lanes, trivial_result};
 use crate::{execute_each, Memoizer};
@@ -59,26 +59,14 @@ pub struct Executed {
     pub outcome: Outcome,
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    /// The tag as stored — may drift from `clean_key` under tag faults.
-    key: Key,
-    /// The tag as written at insert time (the checker's reference).
-    clean_key: Key,
-    /// The payload as stored — may drift from `clean` under value faults.
-    value: u64,
-    /// The payload as written at insert time (what the entry's parity/ECC
-    /// bits were computed over; the Hamming distance `value ^ clean` is
-    /// exactly the error count a real checker would see).
-    clean: u64,
-    last_use: u64,
-    inserted: u64,
-}
-
 /// A finite, set-associative memo table.
 ///
 /// See the [crate docs](crate) for the big picture and [`MemoConfig`] for
 /// the design space. All state is owned; the table is `Send`.
+///
+/// Storage is one array per slot field, indexed `set * ways + way`, so a
+/// probe walks a few dense words instead of whole entries. The geometry is
+/// cached at construction, so no probe divides.
 ///
 /// # Examples
 ///
@@ -96,24 +84,55 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct MemoTable {
     cfg: MemoConfig,
-    slots: Vec<Option<Entry>>,
+    sets: usize,
+    ways: usize,
+    valid: Vec<bool>,
+    kind: Vec<OpKind>,
+    /// The tag as stored — may drift from `clean_tag` under tag faults.
+    tag: Vec<u128>,
+    /// The tag as written at insert time (the checker's reference).
+    clean_tag: Vec<u128>,
+    /// The payload as stored — may drift from `clean_value` under value
+    /// faults.
+    value: Vec<u64>,
+    /// The payload as written at insert time (what the entry's parity/ECC
+    /// bits were computed over; the Hamming distance `value ^ clean_value`
+    /// is exactly the error count a real checker would see).
+    clean_value: Vec<u64>,
+    last_use: Vec<u64>,
+    inserted: Vec<u64>,
     clock: u64,
     stats: MemoStats,
     rng: u64,
     injector: Option<FaultInjector>,
+    /// A tag strike has landed since construction or the last reset. Until
+    /// one does, every stored tag equals its clean copy and the tag scrub
+    /// has nothing to find.
+    tag_drift: bool,
 }
 
 impl MemoTable {
     /// Create an empty table with the given configuration.
     #[must_use]
     pub fn new(cfg: MemoConfig) -> Self {
+        let slots = cfg.entries();
         MemoTable {
             cfg,
-            slots: vec![None; cfg.entries()],
+            sets: cfg.sets(),
+            ways: cfg.ways(),
+            valid: vec![false; slots],
+            kind: vec![OpKind::IntMul; slots],
+            tag: vec![0; slots],
+            clean_tag: vec![0; slots],
+            value: vec![0; slots],
+            clean_value: vec![0; slots],
+            last_use: vec![0; slots],
+            inserted: vec![0; slots],
             clock: 0,
             stats: MemoStats::new(),
             rng: 0x9E37_79B9_7F4A_7C15,
             injector: None,
+            tag_drift: false,
         }
     }
 
@@ -144,13 +163,13 @@ impl MemoTable {
     /// Number of valid entries currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.valid.iter().filter(|&&v| v).count()
     }
 
     /// `true` if no entries are stored.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| s.is_none())
+        !self.valid.contains(&true)
     }
 
     /// Hit ratio under this table's own trivial policy — the number the
@@ -165,21 +184,25 @@ impl MemoTable {
         self.clock
     }
 
-    /// Search one set for `key`; on success refresh its LRU stamp and
-    /// return the matching slot index.
-    fn lookup_in_set(&mut self, set: usize, key: Key) -> Option<usize> {
-        let ways = self.cfg.ways();
-        let base = set * ways;
+    /// The slot of the set starting at `base` that holds `key`, if any.
+    #[inline]
+    fn find(&self, base: usize, key: Key) -> Option<usize> {
+        let end = base + self.ways;
+        let way = self.valid[base..end]
+            .iter()
+            .zip(&self.kind[base..end])
+            .zip(&self.tag[base..end])
+            .position(|((&valid, &kind), &tag)| valid && tag == key.tag && kind == key.kind)?;
+        Some(base + way)
+    }
+
+    /// Search the set starting at `base` for `key`; on success refresh its
+    /// LRU stamp and return the matching slot index.
+    fn lookup(&mut self, base: usize, key: Key) -> Option<usize> {
         let stamp = self.tick();
-        for (offset, slot) in self.slots[base..base + ways].iter_mut().enumerate() {
-            if let Some(entry) = slot {
-                if entry.key == key {
-                    entry.last_use = stamp;
-                    return Some(base + offset);
-                }
-            }
-        }
-        None
+        let slot = self.find(base, key)?;
+        self.last_use[slot] = stamp;
+        Some(slot)
     }
 
     fn next_random(&mut self) -> u64 {
@@ -193,37 +216,38 @@ impl MemoTable {
     }
 
     fn insert(&mut self, set: usize, key: Key, value: u64) {
-        let ways = self.cfg.ways();
-        let base = set * ways;
+        let base = set * self.ways;
+        let end = base + self.ways;
         let stamp = self.tick();
 
-        // Prefer an invalid slot.
-        if let Some(slot) = self.slots[base..base + ways].iter_mut().find(|s| s.is_none()) {
-            *slot =
-                Some(Entry { key, clean_key: key, value, clean: value, last_use: stamp, inserted: stamp });
-            self.stats.insertions += 1;
-            return;
-        }
-
-        // All ways valid: pick a victim.
-        let victim_way = match self.cfg.replacement() {
-            Replacement::Lru => (0..ways)
-                .min_by_key(|&w| self.slots[base + w].as_ref().map(|e| e.last_use))
-                .expect("ways >= 1"),
-            Replacement::Fifo => (0..ways)
-                .min_by_key(|&w| self.slots[base + w].as_ref().map(|e| e.inserted))
-                .expect("ways >= 1"),
-            Replacement::Random => (self.next_random() % ways as u64) as usize,
+        // Prefer an invalid slot; with all ways valid, pick a victim.
+        let slot = match self.valid[base..end].iter().position(|&v| !v) {
+            Some(way) => base + way,
+            None => {
+                self.stats.evictions += 1;
+                let oldest = |stamps: &[u64]| {
+                    (0..stamps.len()).min_by_key(|&w| stamps[w]).expect("ways >= 1")
+                };
+                base + match self.cfg.replacement() {
+                    Replacement::Lru => oldest(&self.last_use[base..end]),
+                    Replacement::Fifo => oldest(&self.inserted[base..end]),
+                    Replacement::Random => (self.next_random() % self.ways as u64) as usize,
+                }
+            }
         };
-        self.slots[base + victim_way] =
-            Some(Entry { key, clean_key: key, value, clean: value, last_use: stamp, inserted: stamp });
+        self.valid[slot] = true;
+        self.kind[slot] = key.kind;
+        self.tag[slot] = key.tag;
+        self.clean_tag[slot] = key.tag;
+        self.value[slot] = value;
+        self.clean_value[slot] = value;
+        self.last_use[slot] = stamp;
+        self.inserted[slot] = stamp;
         self.stats.insertions += 1;
-        self.stats.evictions += 1;
     }
 
-    /// Tag maintenance for one probed set: the protection policy scrubs
-    /// entries whose stored tag has drifted from its checked reference, and
-    /// the injector may then strike a new tag bit.
+    /// The protection policy scrubs the entries of one probed set whose
+    /// stored tag has drifted from its checked reference.
     ///
     /// A tag-corrupted entry can no longer match its operands (a false
     /// miss), so it costs hit ratio rather than correctness; parity and
@@ -231,59 +255,47 @@ impl MemoTable {
     /// set and either repair (single flips, SEC-DED) or invalidate it.
     /// [`Protection::VerifyOnHit`] only checks *served* values, so it never
     /// sees unreachable entries.
-    fn scrub_and_strike_tags(&mut self, set: usize) {
-        let ways = self.cfg.ways();
-        let base = set * ways;
-
-        match self.cfg.protection() {
-            Protection::None | Protection::VerifyOnHit { .. } => {}
-            Protection::ParityDetect => {
-                for slot in self.slots[base..base + ways].iter_mut() {
-                    if let Some(e) = slot {
-                        let errs = (e.key.tag ^ e.clean_key.tag).count_ones();
-                        if errs % 2 == 1 {
-                            self.stats.faults_detected += 1;
-                            *slot = None;
-                        }
-                    }
-                }
-            }
-            Protection::EccSecDed => {
-                for slot in self.slots[base..base + ways].iter_mut() {
-                    if let Some(e) = slot {
-                        match (e.key.tag ^ e.clean_key.tag).count_ones() {
-                            0 => {}
-                            1 => {
-                                e.key = e.clean_key;
-                                self.stats.faults_corrected += 1;
-                            }
-                            _ => {
-                                self.stats.faults_detected += 1;
-                                *slot = None;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let Some(injector) = &mut self.injector else { return };
-        let Some((way_draw, bit)) = injector.tag_strike() else { return };
-        // Pick the n-th valid entry without collecting indices — this runs
-        // on every probed set when an injector is attached, so it must not
-        // allocate.
-        let valid = self.slots[base..base + ways].iter().filter(|s| s.is_some()).count();
-        if valid == 0 {
+    fn scrub_tags(&mut self, base: usize) {
+        let protection = self.cfg.protection();
+        if !matches!(protection, Protection::ParityDetect | Protection::EccSecDed) {
             return;
         }
-        let target = (way_draw % valid as u64) as usize;
-        let victim = (base..base + ways)
-            .filter(|&i| self.slots[i].is_some())
-            .nth(target)
-            .expect("target < valid count");
-        let entry = self.slots[victim].as_mut().expect("victim slot is valid");
-        entry.key.tag ^= 1u128 << bit;
+        for slot in base..base + self.ways {
+            if !self.valid[slot] {
+                continue;
+            }
+            let errs = (self.tag[slot] ^ self.clean_tag[slot]).count_ones();
+            let detected = if protection == Protection::ParityDetect {
+                errs % 2 == 1
+            } else if errs == 1 {
+                self.tag[slot] = self.clean_tag[slot];
+                self.stats.faults_corrected += 1;
+                false
+            } else {
+                errs >= 2
+            };
+            if detected {
+                self.stats.faults_detected += 1;
+                self.valid[slot] = false;
+            }
+        }
+    }
+
+    /// A tag strike on the set starting at `base`: flip tag bit `bit` of
+    /// its `way_draw`-th valid entry, counted modulo the valid entries. A
+    /// set with no valid entry absorbs the strike.
+    fn strike_tag(&mut self, base: usize, way_draw: u64, bit: u32) {
+        let valid = &self.valid[base..base + self.ways];
+        let count = valid.iter().filter(|&&v| v).count();
+        if count == 0 {
+            return;
+        }
+        let target = (way_draw % count as u64) as usize;
+        let (way, _) =
+            valid.iter().enumerate().filter(|(_, &v)| v).nth(target).expect("target < valid count");
+        self.tag[base + way] ^= 1u128 << bit;
         self.stats.faults_injected += 1;
+        self.tag_drift = true;
     }
 
     /// Read a matched entry through the fault process and the protection
@@ -291,17 +303,13 @@ impl MemoTable {
     /// detected, entry invalidated) or the payload cannot be decoded.
     fn read_protected(&mut self, op: &Op, slot: usize) -> Option<Value> {
         // New soft errors strike the cell itself: persist them.
-        if let Some(injector) = &mut self.injector {
-            if let Some(mask) = injector.value_strike() {
-                let entry = self.slots[slot].as_mut().expect("matched slot is valid");
-                entry.value ^= mask;
-                self.stats.faults_injected += 1;
-            }
+        if let Some(mask) = self.injector.as_mut().and_then(FaultInjector::value_strike) {
+            self.value[slot] ^= mask;
+            self.stats.faults_injected += 1;
         }
 
-        let entry = self.slots[slot].as_ref().expect("matched slot is valid");
-        let clean = entry.clean;
-        let mut read = entry.value;
+        let clean = self.clean_value[slot];
+        let mut read = self.value[slot];
         // Stuck-at defects corrupt the read, not the cell contents.
         if let Some(injector) = &self.injector {
             let stuck = injector.apply_stuck(slot, read);
@@ -315,10 +323,8 @@ impl MemoTable {
             read_checked(self.cfg.protection(), op, read, clean, self.cfg.tag(), &mut self.stats);
         match repair {
             Repair::Keep => {}
-            Repair::Rewrite => {
-                self.slots[slot].as_mut().expect("matched slot is valid").value = clean;
-            }
-            Repair::Invalidate => self.slots[slot] = None,
+            Repair::Rewrite => self.value[slot] = clean,
+            Repair::Invalidate => self.valid[slot] = false,
         }
         value
     }
@@ -330,11 +336,19 @@ impl MemoTable {
     /// Tag encoding and set hashing happen exactly once per operand order
     /// (in the callers) — not once for the existence check and again for
     /// the lookup, and not a third time for the insert after a miss.
+    ///
+    /// Each fault hook runs only when it can change something: the tag
+    /// scrub once a tag strike has landed, the strike draws when the
+    /// injector's rates are non-zero (the draws themselves check).
     fn probe_keyed(&mut self, op: &Op, key: Key, set: usize) -> Option<Value> {
-        if self.injector.is_some() || self.cfg.protection() != Protection::None {
-            self.scrub_and_strike_tags(set);
+        let base = set * self.ways;
+        if self.tag_drift {
+            self.scrub_tags(base);
         }
-        let slot = self.lookup_in_set(set, key)?;
+        if let Some((way_draw, bit)) = self.injector.as_mut().and_then(FaultInjector::tag_strike) {
+            self.strike_tag(base, way_draw, bit);
+        }
+        let slot = self.lookup(base, key)?;
         self.read_protected(op, slot)
     }
 
@@ -345,7 +359,7 @@ impl MemoTable {
         }
         let swapped = op.swapped()?;
         let key = encode_tag(&swapped, self.cfg.tag())?;
-        let set = set_index(&swapped, self.cfg.sets(), self.cfg.hash());
+        let set = set_index(&swapped, self.sets, self.cfg.hash());
         let v = self.probe_keyed(&swapped, key, set)?;
         self.stats.table_hits += 1;
         self.stats.commutative_hits += 1;
@@ -376,7 +390,7 @@ impl MemoTable {
             self.stats.bypasses += 1;
             return Err(Probe::Miss);
         };
-        let set = set_index(op, self.cfg.sets(), self.cfg.hash());
+        let set = set_index(op, self.sets, self.cfg.hash());
 
         if let Some(v) = self.probe_keyed(op, key, set) {
             self.stats.table_hits += 1;
@@ -406,8 +420,7 @@ impl MemoTable {
         debug_assert_eq!(self.cfg.tag(), TagPolicy::FullValue);
         let kind = batch.kind();
         let scheme = self.cfg.hash();
-        let sets = self.cfg.sets();
-        let ways = self.cfg.ways();
+        let (sets, ways) = (self.sets, self.ways);
         let trivial_policy = self.cfg.trivial();
         let commutative = self.cfg.commutative() && kind.is_commutative();
         let swap_hashes = commutative && scheme == HashScheme::FoldMix;
@@ -451,18 +464,10 @@ impl MemoTable {
                 let bi = if b.is_empty() { ai } else { b[i] };
                 let tag = ((ai as u128) << 64) | bi as u128;
                 let set = set_idx[i] as usize;
-                let base = set * ways;
 
                 clock += 1;
-                let mut matched = false;
-                for e in self.slots[base..base + ways].iter_mut().flatten() {
-                    if e.key.tag == tag && e.key.kind == kind {
-                        e.last_use = clock;
-                        matched = true;
-                        break;
-                    }
-                }
-                if matched {
+                if let Some(slot) = self.find(set * ways, Key { kind, tag }) {
+                    self.last_use[slot] = clock;
                     hits += 1;
                     out.hits += 1;
                     continue;
@@ -470,17 +475,10 @@ impl MemoTable {
 
                 if commutative {
                     let stag = ((bi as u128) << 64) | ai as u128;
-                    let sbase =
-                        if swap_hashes { swapped_set_idx[i] as usize * ways } else { base };
+                    let sset = if swap_hashes { swapped_set_idx[i] as usize } else { set };
                     clock += 1;
-                    for e in self.slots[sbase..sbase + ways].iter_mut().flatten() {
-                        if e.key.tag == stag && e.key.kind == kind {
-                            e.last_use = clock;
-                            matched = true;
-                            break;
-                        }
-                    }
-                    if matched {
+                    if let Some(slot) = self.find(sset * ways, Key { kind, tag: stag }) {
+                        self.last_use[slot] = clock;
                         hits += 1;
                         comm_hits += 1;
                         out.hits += 1;
@@ -568,7 +566,7 @@ impl Memoizer for MemoTable {
             self.stats.bypasses += 1;
             return;
         };
-        let set = set_index(&op, self.cfg.sets(), self.cfg.hash());
+        let set = set_index(&op, self.sets, self.cfg.hash());
         self.insert(set, key, value);
     }
 
@@ -577,7 +575,8 @@ impl Memoizer for MemoTable {
     }
 
     fn reset(&mut self) {
-        self.slots.iter_mut().for_each(|s| *s = None);
+        self.valid.fill(false);
+        self.tag_drift = false;
         self.clock = 0;
         self.stats = MemoStats::new();
         self.rng = 0x9E37_79B9_7F4A_7C15;

@@ -121,3 +121,52 @@ fn golden_table1_contract() {
         }
     }
 }
+
+/// The soft-error study at quick scale: every sweep cell's counters, its
+/// hit ratio and SDC rate bit for bit, and the circuit-breaker demo.
+/// Any change to the table's fault hooks, the protection ladder or the
+/// injector streams shows up here as an exact count.
+#[test]
+fn golden_fault_study_counts() {
+    use memo_repro::experiments::fault_tolerance::{breaker_demo, sweep, FAULT_RATES};
+    use memo_repro::experiments::ExpConfig;
+    use memo_repro::table::Protection;
+
+    const CLEAN_HIT: f64 = 0.321_225_927_537_808_7;
+    // (injected, detected, corrected, silent, hit ratio, SDC rate) per
+    // cell, in sweep order: policies outer, rates 0 / 0.01 / 0.1 inner.
+    let want: [(u64, u64, u64, u64, f64, f64); 12] = [
+        (0, 0, 0, 0, CLEAN_HIT, 0.0),
+        (4_860, 0, 0, 92_010, CLEAN_HIT, 0.049_103_845_480_589_01),
+        (47_393, 0, 0, 236_999, CLEAN_HIT, 0.126_481_494_131_660_85),
+        (0, 0, 0, 0, CLEAN_HIT, 0.0),
+        (4_860, 4_860, 0, 0, 0.317_921_064_084_430_44, 0.0),
+        (47_393, 47_393, 0, 0, 0.288_998_068_762_920_2, 0.0),
+        (0, 0, 0, 0, CLEAN_HIT, 0.0),
+        (4_860, 0, 4_860, 0, CLEAN_HIT, 0.0),
+        (47_393, 0, 47_393, 0, CLEAN_HIT, 0.0),
+        (0, 0, 0, 0, CLEAN_HIT, 0.0),
+        (4_860, 4_860, 0, 0, 0.317_921_064_084_430_44, 0.0),
+        (47_393, 47_393, 0, 0, 0.288_998_068_762_920_2, 0.0),
+    ];
+
+    let cfg = ExpConfig::quick();
+    let cells = sweep(cfg);
+    assert_eq!(cells.len(), want.len());
+    for (i, (c, w)) in cells.iter().zip(want).enumerate() {
+        assert_eq!(c.protection, Protection::ALL[i / FAULT_RATES.len()], "cell {i}");
+        assert_eq!(
+            c.fault_rate.to_bits(),
+            FAULT_RATES[i % FAULT_RATES.len()].to_bits(),
+            "cell {i}"
+        );
+        let label = format!("{} at rate {}", c.protection, c.fault_rate);
+        let got = (c.faults_injected, c.faults_detected, c.faults_corrected, c.faults_silent);
+        assert_eq!(got, (w.0, w.1, w.2, w.3), "{label}: injected/detected/corrected/silent");
+        assert_eq!(c.hit_ratio.to_bits(), w.4.to_bits(), "{label}: hit ratio {}", c.hit_ratio);
+        assert_eq!(c.sdc_rate.to_bits(), w.5.to_bits(), "{label}: SDC rate {}", c.sdc_rate);
+    }
+
+    let b = breaker_demo(cfg);
+    assert_eq!((b.threshold, b.tripped_slots, b.faults_detected), (8, 3, 24), "{b:?}");
+}
