@@ -281,7 +281,11 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 state.metrics.connections_accepted.fetch_add(1, Ordering::Relaxed);
+                // No Nagle on the client side, as on the nodes. The
+                // upstream sockets send one request per write and wait
+                // for its reply, so Nagle never holds them.
                 let configured = stream.set_nonblocking(false).is_ok()
+                    && stream.set_nodelay(true).is_ok()
                     && stream.set_read_timeout(Some(read_timeout)).is_ok()
                     && stream.set_write_timeout(Some(write_timeout)).is_ok();
                 if !configured {

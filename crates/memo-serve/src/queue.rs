@@ -21,6 +21,8 @@ pub enum PushError<T> {
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers blocked in `pop`, each about to take one item.
+    idle: usize,
 }
 
 /// Bounded FIFO shared between the accept loop and the worker pool.
@@ -40,7 +42,11 @@ impl<T> Bounded<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be at least 1");
         Bounded {
-            inner: Mutex::new(Inner { items: VecDeque::with_capacity(capacity), closed: false }),
+            inner: Mutex::new(Inner {
+                items: VecDeque::with_capacity(capacity),
+                closed: false,
+                idle: 0,
+            }),
             not_empty: Condvar::new(),
             capacity,
         }
@@ -77,7 +83,9 @@ impl<T> Bounded<T> {
             if inner.closed {
                 return None;
             }
+            inner.idle += 1;
             inner = self.not_empty.wait(inner).expect("queue poisoned");
+            inner.idle -= 1;
         }
     }
 
@@ -98,6 +106,17 @@ impl<T> Bounded<T> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Items queued beyond those the consumers blocked in
+    /// [`pop`](Self::pop) are about to take: work that waits for a busy
+    /// consumer. A push wakes an idle consumer, but the item stays in
+    /// the queue until that consumer runs, so [`len`](Self::len) alone
+    /// would count work that is already on its way.
+    #[must_use]
+    pub(crate) fn unclaimed(&self) -> usize {
+        let inner = self.inner.lock().expect("queue poisoned");
+        inner.items.len().saturating_sub(inner.idle)
     }
 }
 
@@ -154,6 +173,30 @@ mod tests {
         let mut got: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         got.sort();
         assert_eq!(got, vec![None, None, Some(7)]);
+    }
+
+    #[test]
+    fn unclaimed_leaves_out_items_a_blocked_consumer_will_take() {
+        let q = Arc::new(Bounded::new(4));
+        q.try_push(1).unwrap();
+        assert_eq!(q.unclaimed(), 1, "no consumer is waiting");
+        assert_eq!(q.pop(), Some(1));
+
+        let consumer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.pop())
+        };
+        while q.inner.lock().unwrap().idle == 0 {
+            thread::yield_now();
+        }
+        // Stage two items without waking the blocked consumer, so the
+        // count cannot race its wake-up: one of them is already its.
+        q.inner.lock().unwrap().items.extend([2, 3]);
+        assert_eq!(q.unclaimed(), 1, "the blocked consumer's item is not waiting");
+        q.not_empty.notify_one();
+        assert_eq!(consumer.join().unwrap(), Some(2));
+        assert_eq!(q.inner.lock().unwrap().idle, 0, "a woken consumer is no longer idle");
+        assert_eq!(q.unclaimed(), 1);
     }
 
     #[test]

@@ -36,7 +36,9 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Rendered results kept in the in-process cache.
     pub cache_capacity: usize,
-    /// Per-connection socket read timeout.
+    /// How long a connection may stay silent, counted from the last byte
+    /// received or response sent, before it is closed (with 408 when it
+    /// holds part of a request).
     pub read_timeout: Duration,
     /// Per-connection socket write timeout.
     pub write_timeout: Duration,
@@ -137,6 +139,10 @@ impl ServerHandle {
 /// How often the accept loop re-checks the drain flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
+/// How long one read on an accepted connection waits before its worker
+/// looks again at the queue and the read timeout.
+const READ_SLICE: Duration = Duration::from_millis(5);
+
 /// Bind and start serving.
 ///
 /// # Errors
@@ -193,7 +199,7 @@ pub fn start(config: &ServerConfig) -> io::Result<ServerHandle> {
     let accept_thread = thread::Builder::new()
         .name("memo-serve-accept".to_string())
         .spawn(move || {
-            accept_loop(&listener, &accept_state, &accept_queue, read_timeout, write_timeout);
+            accept_loop(&listener, &accept_state, &accept_queue, write_timeout);
             // No new connections past this point; let the workers drain.
             accept_queue.close();
         })
@@ -206,7 +212,6 @@ fn accept_loop(
     listener: &TcpListener,
     state: &AppState,
     queue: &Bounded<(TcpStream, Instant)>,
-    read_timeout: Duration,
     write_timeout: Duration,
 ) {
     while !state.draining() {
@@ -215,9 +220,11 @@ fn accept_loop(
                 state.metrics.connections_accepted.fetch_add(1, Ordering::Relaxed);
                 // The listener is nonblocking; the accepted stream must
                 // not be, or reads would spin instead of blocking with a
-                // timeout.
+                // timeout. No Nagle: a pipelined second response would
+                // otherwise wait for the peer's delayed ACK of the first.
                 let configured = stream.set_nonblocking(false).is_ok()
-                    && stream.set_read_timeout(Some(read_timeout)).is_ok()
+                    && stream.set_nodelay(true).is_ok()
+                    && stream.set_read_timeout(Some(READ_SLICE)).is_ok()
                     && stream.set_write_timeout(Some(write_timeout)).is_ok();
                 if !configured {
                     continue; // peer is gone; nothing to shed
@@ -238,12 +245,22 @@ fn accept_loop(
     }
 }
 
-/// Serve one connection until close, drain, timeout, or protocol error.
+/// Serve one connection until close, drain, timeout, release, or
+/// protocol error.
 ///
 /// `accepted` is when the accept loop queued the connection: one that
 /// sat in the queue past the request deadline is shed with 503 before
 /// any bytes are read — a stalled disk must not turn the queue into an
 /// unbounded latency amplifier.
+///
+/// A worker does not sit on a keep-alive connection while others queue
+/// for a busy worker: a response written then says `connection: close`,
+/// and a connection idle between requests, with no request bytes
+/// buffered, is released as soon as one queues. Reads wait in
+/// [`READ_SLICE`]s so the second check runs between requests; the read
+/// timeout still counts from the last byte received or response sent.
+/// A connection holding part of a request, or still waiting for its
+/// first, is never released.
 fn handle_connection(
     state: &AppState,
     queue: &Bounded<(TcpStream, Instant)>,
@@ -261,9 +278,8 @@ fn handle_connection(
     }
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
-    // An idle keep-alive connection may not outlive the read timeout by
-    // much even across multiple short reads.
-    let idle_deadline = Instant::now() + read_timeout.max(Duration::from_millis(1)) * 2;
+    let mut last_activity = Instant::now();
+    let mut answered = false;
 
     loop {
         // Serve every complete pipelined request already buffered.
@@ -273,7 +289,7 @@ fn handle_connection(
                     buf.drain(..consumed);
                     let start = Instant::now();
                     let routed = routes::handle(state, &req, queue.len());
-                    let keep_alive = req.keep_alive && !state.draining();
+                    let keep_alive = req.keep_alive && !state.draining() && queue.unclaimed() == 0;
                     let head_only = req.method == "HEAD";
                     let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
                     state.metrics.observe(routed.endpoint, routed.response.status, routed.cache, micros);
@@ -283,6 +299,8 @@ fn handle_connection(
                     if !keep_alive {
                         return;
                     }
+                    answered = true;
+                    last_activity = Instant::now();
                 }
                 Ok(None) => break, // need more bytes
                 Err(err) => {
@@ -303,10 +321,24 @@ fn handle_connection(
 
         match stream.read(&mut chunk) {
             Ok(0) => return, // peer closed
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                last_activity = Instant::now();
+            }
             Err(ref e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
+                if last_activity.elapsed() < read_timeout {
+                    // Idle between requests while a queued connection
+                    // needs this worker: release. A fresh connection keeps
+                    // its worker until its first request, since a pooled
+                    // client (the router's proxy) retries only a reused
+                    // connection.
+                    if answered && buf.is_empty() && queue.unclaimed() > 0 {
+                        return;
+                    }
+                    continue;
+                }
                 state.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
                 if !buf.is_empty() {
                     // Mid-request stall: tell the peer before hanging up.
@@ -316,9 +348,6 @@ fn handle_connection(
                 return;
             }
             Err(_) => return,
-        }
-        if Instant::now() > idle_deadline && buf.is_empty() {
-            return;
         }
     }
 }

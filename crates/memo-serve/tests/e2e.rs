@@ -1,16 +1,28 @@
 //! End-to-end: boot the real server on an ephemeral port, speak real
 //! HTTP over real sockets, and hold the service to its core promises —
 //! artifact bytes identical to the CLI runners, cache hits on repeats,
-//! backpressure instead of queueing without bound, and a clean drain.
+//! warm keep-alive answers far below the delayed-ACK floor, no worker
+//! parked on one connection while others queue, backpressure instead of
+//! queueing without bound, and a clean drain.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use memo_experiments::{runner, ExpConfig};
+use memo_serve::http::read_response;
 use memo_serve::server::{self, ServerConfig, ServerHandle};
 
+#[path = "support/keepalive.rs"]
+mod keepalive;
+
 fn boot(workers: usize, queue_capacity: usize) -> ServerHandle {
+    boot_with(workers, queue_capacity, Duration::from_secs(2))
+}
+
+fn boot_with(workers: usize, queue_capacity: usize, read_timeout: Duration) -> ServerHandle {
     // MEMO_SCALE/MEMO_SCI_N from the environment must not skew the
     // byte-identity comparison, so pin the config explicitly.
     let config = ServerConfig {
@@ -18,7 +30,7 @@ fn boot(workers: usize, queue_capacity: usize) -> ServerHandle {
         workers,
         queue_capacity,
         cache_capacity: 64,
-        read_timeout: Duration::from_secs(2),
+        read_timeout,
         write_timeout: Duration::from_secs(2),
         cfg: ExpConfig::quick(),
         store_dir: None,
@@ -259,6 +271,122 @@ fn head_requests_get_headers_without_body() {
     assert!(raw.contains("content-length: 3\r\n"), "HEAD keeps the true length:\n{raw}");
     assert!(raw.ends_with("\r\n\r\n"), "HEAD must not carry a body:\n{raw}");
 
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
+fn warm_keep_alive_hits_answer_below_the_delayed_ack_floor() {
+    let handle = boot(2, 16);
+    let mut conn = keepalive::Warmed::connect(handle.addr(), "/v1/table/1");
+    let median = keepalive::median((0..64).map(|_| conn.time(1)).collect());
+    assert!(
+        median < keepalive::FLOOR_BOUND,
+        "median of 64 warm cached hits is {median:?}: a response is waiting on a delayed ACK"
+    );
+    drop(conn);
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
+fn warm_pipelined_pairs_answer_below_the_delayed_ack_floor() {
+    let handle = boot(2, 16);
+    let mut conn = keepalive::Warmed::connect(handle.addr(), "/v1/table/1");
+    let median = keepalive::median((0..16).map(|_| conn.time(2)).collect());
+    assert!(
+        median < keepalive::FLOOR_BOUND,
+        "median of 16 pipelined pairs is {median:?}: the second response is waiting on a delayed ACK"
+    );
+    drop(conn);
+    handle.shutdown();
+    handle.wait();
+}
+
+/// Time a one-shot `GET /healthz` on a fresh connection, through to the
+/// end of its response.
+fn timed_healthz(addr: SocketAddr) -> Duration {
+    let start = Instant::now();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
+        .expect("send");
+    let resp = read_response(&mut stream, &mut Vec::new()).expect("response");
+    assert_eq!(resp.status, 200);
+    start.elapsed()
+}
+
+#[test]
+fn a_busy_keep_alive_connection_yields_its_worker_to_a_queued_one() {
+    // One worker and a read timeout far past the bound: B can only be
+    // answered in time if the worker lets go of A.
+    let handle = boot_with(1, 16, Duration::from_secs(5));
+    let addr = handle.addr();
+    let (serving_a, a_is_served) = mpsc::channel();
+    let a = thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect A");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+        let mut scratch = Vec::new();
+        let until = Instant::now() + Duration::from_secs(2);
+        while Instant::now() < until {
+            stream.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n").expect("send A");
+            let resp = read_response(&mut stream, &mut scratch).expect("response to A");
+            assert_eq!(resp.status, 200);
+            let _ = serving_a.send(());
+            if !resp.keep_alive() {
+                return true;
+            }
+        }
+        false
+    });
+    a_is_served.recv().expect("A got its first response");
+    let waited = timed_healthz(addr);
+    let a_was_closed = a.join().expect("A's thread");
+    assert!(waited < Duration::from_secs(1), "B waited {waited:?} behind a busy connection");
+    assert!(a_was_closed, "one of A's responses must carry connection: close");
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
+fn an_idle_keep_alive_connection_yields_its_worker_to_a_queued_one() {
+    let handle = boot_with(1, 16, Duration::from_secs(5));
+    let mut a = TcpStream::connect(handle.addr()).expect("connect A");
+    a.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n").expect("send A");
+    let resp = read_response(&mut a, &mut Vec::new()).expect("response to A");
+    assert!(resp.keep_alive(), "A's only response was written with nothing queued");
+    // A now stays open and silent.
+    let waited = timed_healthz(handle.addr());
+    assert!(waited < Duration::from_secs(1), "B waited {waited:?} behind an idle connection");
+    drop(a);
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
+fn a_fresh_connection_keeps_its_worker_until_its_first_request() {
+    let handle = boot_with(1, 16, Duration::from_secs(5));
+    let addr = handle.addr();
+    let metrics = &handle.state().metrics;
+    let accepted = || metrics.connections_accepted.load(std::sync::atomic::Ordering::Relaxed);
+    // A connects and says nothing yet; wait until the one worker holds it.
+    let mut a = TcpStream::connect(addr).expect("connect A");
+    while accepted() < 1 || handle.queue_depth() > 0 {
+        thread::yield_now();
+    }
+    // B queues behind A, for longer than many read slices.
+    let b = thread::spawn(move || timed_healthz(addr));
+    while handle.queue_depth() == 0 {
+        thread::yield_now();
+    }
+    thread::sleep(Duration::from_millis(100));
+    // A's first request must still be answered on the same connection.
+    a.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n").expect("send A");
+    let resp = read_response(&mut a, &mut Vec::new()).expect("A was closed before its first request");
+    assert_eq!(resp.status, 200);
+    assert!(!resp.keep_alive(), "B is waiting, so A's response hands the worker over");
+    b.join().expect("B's thread");
     handle.shutdown();
     handle.wait();
 }
