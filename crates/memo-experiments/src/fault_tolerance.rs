@@ -22,9 +22,12 @@
 
 use memo_sim::{
     CpuModel, CycleAccountant, Event, EventSink, MemoBank, MemoizedSink, MemoryHierarchy,
-    NullSink,
+    NullSink, OpTrace,
 };
-use memo_table::{FaultConfig, FaultInjector, MemoConfig, MemoTable, OpKind, Protection};
+use memo_table::{
+    FaultConfig, FaultInjector, MemoConfig, MemoStats, MemoTable, Memoizer, OpKind, Protection,
+    MAX_BATCH_WIDTH,
+};
 use memo_workloads::{mm, sci};
 
 use crate::error::find_mm;
@@ -64,21 +67,24 @@ fn protected_config(protection: Protection) -> MemoConfig {
 /// so the streams are independent but replayable).
 #[must_use]
 pub fn faulty_bank(protection: Protection, rate: f64, seed: u64) -> MemoBank {
-    let mut bank = MemoBank::none();
-    for (i, &kind) in MEMO_KINDS.iter().enumerate() {
-        let fault_cfg = if rate > 0.0 {
-            FaultConfig::single_bit(
-                seed ^ 0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(i as u64 + 1),
-                rate,
-            )
-        } else {
-            FaultConfig::disabled()
-        };
-        let table = MemoTable::new(protected_config(protection))
-            .with_fault_injector(FaultInjector::new(fault_cfg));
-        bank = bank.with_table(kind, table);
-    }
-    bank
+    MEMO_KINDS.iter().enumerate().fold(MemoBank::none(), |bank, (slot, &kind)| {
+        bank.with_table(kind, faulty_table(protection, rate, seed, slot))
+    })
+}
+
+/// Slot `slot` of [`faulty_bank`]: a protected table whose injector fires
+/// at `rate` from the slot's share of `seed` (disabled at rate 0). The
+/// sweep builds its tables here too, so both draw the same streams.
+fn faulty_table(protection: Protection, rate: f64, seed: u64, slot: usize) -> MemoTable {
+    let fault_cfg = if rate > 0.0 {
+        FaultConfig::single_bit(
+            seed ^ 0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(slot as u64 + 1),
+            rate,
+        )
+    } else {
+        FaultConfig::disabled()
+    };
+    MemoTable::new(protected_config(protection)).with_fault_injector(FaultInjector::new(fault_cfg))
 }
 
 // ---------------------------------------------------------------------------
@@ -166,28 +172,30 @@ pub struct FaultCell {
     pub faults_silent: u64,
 }
 
-fn pooled_cell(protection: Protection, rate: f64, sink: &DiffSink) -> FaultCell {
+/// Pool one cell's tables: summed fault counters, the hit ratio over
+/// their lookups, and the SDC rate over every operation they served.
+fn pooled_cell(
+    protection: Protection,
+    rate: f64,
+    stats: impl IntoIterator<Item = MemoStats>,
+    served: u64,
+    mismatches: u64,
+) -> FaultCell {
     let mut hits = 0;
     let mut lookups = 0;
     let (mut inj, mut det, mut corr, mut silent) = (0, 0, 0, 0);
-    for &kind in &MEMO_KINDS {
-        if let Some(s) = sink.bank().stats(kind) {
-            hits += s.table_hits;
-            lookups += s.table_lookups;
-            inj += s.faults_injected;
-            det += s.faults_detected;
-            corr += s.faults_corrected;
-            silent += s.faults_silent;
-        }
+    for s in stats {
+        hits += s.table_hits;
+        lookups += s.table_lookups;
+        inj += s.faults_injected;
+        det += s.faults_detected;
+        corr += s.faults_corrected;
+        silent += s.faults_silent;
     }
     FaultCell {
         protection,
         fault_rate: rate,
-        sdc_rate: if sink.served() == 0 {
-            0.0
-        } else {
-            sink.mismatches() as f64 / sink.served() as f64
-        },
+        sdc_rate: if served == 0 { 0.0 } else { mismatches as f64 / served as f64 },
         hit_ratio: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
         faults_injected: inj,
         faults_detected: det,
@@ -214,11 +222,22 @@ fn replay_suites(cfg: ExpConfig, sink: &mut impl EventSink) {
 
 /// Sweep fault rate × protection policy over the full MM corpus and the
 /// scientific suites, measuring end-to-end SDC and hit-ratio impact.
-/// Each nonzero cell replays the shared recordings against its own faulty
-/// bank. At rate 0 the injector is disabled and every policy's read path
-/// is a no-op on clean entries — parity always passes, ECC never
-/// corrects, verification always matches — so the four clean cells are
-/// provably identical and share one replay.
+///
+/// Each nonzero cell runs the shared recordings against its own faulty
+/// tables — [`faulty_bank`]'s four, built by the same helper with the same
+/// seeds. At rate 0 the injector is disabled and every policy's read path
+/// is a no-op on clean entries — parity always passes, ECC never corrects,
+/// verification always matches — so the four clean cells are provably
+/// identical and share one computed cell.
+///
+/// The nine computed cells are 36 independent tables. They are dealt to
+/// the [`parallel::jobs`] workers by their kind's operation count, and
+/// each worker walks the recordings once, in `replay_suites` order: per
+/// warp it computes the true results once, then every table of that kind
+/// on the worker executes the warp and counts the lanes it served
+/// corrupted. This is exactly what a [`DiffSink`] over the cell's bank
+/// counts: a bank's tables never interact, and each table still sees its
+/// kind's operations in recorded order.
 #[must_use]
 pub fn sweep(cfg: ExpConfig) -> Vec<FaultCell> {
     let mut grid: Vec<(Protection, f64)> = vec![(Protection::None, 0.0)];
@@ -228,11 +247,48 @@ pub fn sweep(cfg: ExpConfig) -> Vec<FaultCell> {
             .flat_map(|&protection| FAULT_RATES.iter().map(move |&rate| (protection, rate)))
             .filter(|&(_, rate)| rate > 0.0),
     );
-    let computed = parallel::par_map(grid, |(protection, rate)| {
-        let mut sink = DiffSink::new(faulty_bank(protection, rate, 0xFA17));
-        replay_suites(cfg, &mut sink);
-        pooled_cell(protection, rate, &sink)
+
+    let mm = parallel::par_map(mm::apps(), |app| traces::mm_traces(cfg, &app));
+    let sci = parallel::par_map(sci::all_apps(), |app| traces::sci_trace(cfg, &app));
+    let walk: Vec<&OpTrace> =
+        mm.iter().flat_map(|traces| traces.iter()).chain(sci.iter().map(|t| &**t)).collect();
+    let mut ops = [0usize; 4];
+    for kind in MEMO_KINDS {
+        ops[kind as usize] = walk.iter().map(|t| t.count(kind)).sum();
+    }
+
+    let tables = grid.iter().enumerate().flat_map(|(cell, &(protection, rate))| {
+        MEMO_KINDS.iter().enumerate().map(move |(slot, &kind)| SweepTable {
+            cell,
+            kind,
+            table: faulty_table(protection, rate, 0xFA17, slot),
+            served: 0,
+            mismatches: 0,
+        })
     });
+    let workers = deal(tables.collect(), parallel::jobs(), |t| ops[t.kind as usize]);
+    let done: Vec<SweepTable> = parallel::par_map(workers, |mut tables| {
+        walk_once(&walk, &mut tables);
+        tables
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+
+    let computed: Vec<FaultCell> = grid
+        .iter()
+        .enumerate()
+        .map(|(cell, &(protection, rate))| {
+            let tables = || done.iter().filter(move |t| t.cell == cell);
+            pooled_cell(
+                protection,
+                rate,
+                tables().map(|t| t.table.stats()),
+                tables().map(|t| t.served).sum(),
+                tables().map(|t| t.mismatches).sum(),
+            )
+        })
+        .collect();
     let clean = computed[0];
     let mut nonzero = computed.into_iter().skip(1);
     let mut out = Vec::with_capacity(Protection::ALL.len() * FAULT_RATES.len());
@@ -246,6 +302,62 @@ pub fn sweep(cfg: ExpConfig) -> Vec<FaultCell> {
         }
     }
     out
+}
+
+/// One table of the sweep and what it has served so far.
+struct SweepTable {
+    /// Index of the cell in the computed grid.
+    cell: usize,
+    kind: OpKind,
+    table: MemoTable,
+    /// Operations the table executed.
+    served: u64,
+    /// Operations whose served bits differed from the true result.
+    mismatches: u64,
+}
+
+/// Deal `items` to at most `workers` groups, heaviest first, each to the
+/// group with the least weight so far (the first such group on a tie).
+fn deal<T>(mut items: Vec<T>, workers: usize, weight: impl Fn(&T) -> usize) -> Vec<Vec<T>> {
+    items.sort_by_key(|item| std::cmp::Reverse(weight(item)));
+    let mut groups: Vec<(usize, Vec<T>)> = (0..workers.max(1)).map(|_| (0, Vec::new())).collect();
+    for item in items {
+        let (load, group) =
+            groups.iter_mut().min_by_key(|(load, _)| *load).expect("at least one group");
+        *load += weight(&item);
+        group.push(item);
+    }
+    groups.into_iter().map(|(_, group)| group).filter(|group| !group.is_empty()).collect()
+}
+
+/// Walk the recordings once for one worker's tables. Each warp's true
+/// results are computed once; every table of the warp's kind then runs
+/// the warp and counts the lanes whose served bits differ from the truth.
+fn walk_once(walk: &[&OpTrace], tables: &mut [SweepTable]) {
+    let mut by_kind: [Vec<&mut SweepTable>; 4] = Default::default();
+    for table in tables.iter_mut() {
+        by_kind[table.kind as usize].push(table);
+    }
+    let mut truth = [0u64; MAX_BATCH_WIDTH];
+    let mut served = [0u64; MAX_BATCH_WIDTH];
+    for trace in walk {
+        trace.for_each_warp(MAX_BATCH_WIDTH, |warp| {
+            let tables = &mut by_kind[warp.kind() as usize];
+            if tables.is_empty() {
+                return;
+            }
+            let (truth, served) = (&mut truth[..warp.len()], &mut served[..warp.len()]);
+            for (i, bits) in truth.iter_mut().enumerate() {
+                *bits = warp.op(i).compute().to_bits();
+            }
+            for entry in tables.iter_mut() {
+                entry.table.execute_batch_with_truth(warp, truth, served);
+                entry.served += warp.len() as u64;
+                let corrupted = served.iter().zip(&*truth).filter(|(got, want)| got != want);
+                entry.mismatches += corrupted.count() as u64;
+            }
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -496,6 +608,11 @@ pub fn render(cfg: ExpConfig) -> Result<String, ExperimentError> {
 mod tests {
     use super::*;
 
+    fn sink_cell(protection: Protection, rate: f64, sink: &DiffSink) -> FaultCell {
+        let stats = MEMO_KINDS.iter().filter_map(|&k| sink.bank().stats(k));
+        pooled_cell(protection, rate, stats, sink.served(), sink.mismatches())
+    }
+
     fn run_sample(sink: &mut DiffSink) {
         let cfg = ExpConfig::quick();
         for name in SPEEDUP_SAMPLE {
@@ -511,7 +628,7 @@ mod tests {
         let mut sink = DiffSink::new(faulty_bank(Protection::None, 0.1, 3));
         run_sample(&mut sink);
         assert!(sink.mismatches() > 0, "faults must reach the consumer");
-        let cell = pooled_cell(Protection::None, 0.1, &sink);
+        let cell = sink_cell(Protection::None, 0.1, &sink);
         assert!(cell.sdc_rate > 0.0);
         assert!(cell.faults_silent > 0);
         assert_eq!(cell.faults_detected, 0, "no detector fitted");
@@ -528,7 +645,7 @@ mod tests {
                 "{} must stop single-bit SDC",
                 protection_label(protection)
             );
-            let cell = pooled_cell(protection, 0.1, &sink);
+            let cell = sink_cell(protection, 0.1, &sink);
             assert!(cell.faults_injected > 0, "the injector must have fired");
             assert!(
                 cell.faults_detected + cell.faults_corrected > 0,
@@ -546,8 +663,8 @@ mod tests {
         run_sample(&mut parity);
         let mut ecc = DiffSink::new(faulty_bank(Protection::EccSecDed, 0.1, 3));
         run_sample(&mut ecc);
-        let p = pooled_cell(Protection::ParityDetect, 0.1, &parity);
-        let e = pooled_cell(Protection::EccSecDed, 0.1, &ecc);
+        let p = sink_cell(Protection::ParityDetect, 0.1, &parity);
+        let e = sink_cell(Protection::EccSecDed, 0.1, &ecc);
         assert!(e.faults_corrected > 0);
         assert!(
             e.hit_ratio >= p.hit_ratio,
@@ -592,6 +709,36 @@ mod tests {
         assert_eq!(report.mm_apps, mm::apps().len());
         assert_eq!(report.sci_apps, sci::all_apps().len());
         assert!(report.ops_compared > 0);
+    }
+
+    /// The one-walk sweep against the per-cell oracle it replaced: a
+    /// [`DiffSink`] over the cell's own [`faulty_bank`], driven op by op
+    /// through [`replay_suites`]. Every field must match, floats by bits.
+    #[test]
+    fn sweep_matches_a_diff_sink_per_cell() {
+        let cfg = ExpConfig::quick();
+        let cells = sweep(cfg);
+        let grid: Vec<(Protection, f64)> = Protection::ALL
+            .iter()
+            .flat_map(|&p| FAULT_RATES.iter().map(move |&r| (p, r)))
+            .collect();
+        let oracle = parallel::par_map(grid, |(protection, rate)| {
+            let mut sink = DiffSink::new(faulty_bank(protection, rate, 0xFA17));
+            replay_suites(cfg, &mut sink);
+            sink_cell(protection, rate, &sink)
+        });
+        assert_eq!(cells.len(), oracle.len());
+        for (got, want) in cells.iter().zip(&oracle) {
+            let label = format!("{} at rate {}", want.protection, want.fault_rate);
+            assert_eq!(got.protection, want.protection, "{label}");
+            assert_eq!(got.fault_rate.to_bits(), want.fault_rate.to_bits(), "{label}");
+            assert_eq!(got.sdc_rate.to_bits(), want.sdc_rate.to_bits(), "{label}: SDC rate");
+            assert_eq!(got.hit_ratio.to_bits(), want.hit_ratio.to_bits(), "{label}: hit ratio");
+            assert_eq!(got.faults_injected, want.faults_injected, "{label}: injected");
+            assert_eq!(got.faults_detected, want.faults_detected, "{label}: detected");
+            assert_eq!(got.faults_corrected, want.faults_corrected, "{label}: corrected");
+            assert_eq!(got.faults_silent, want.faults_silent, "{label}: silent");
+        }
     }
 
     #[test]

@@ -24,12 +24,15 @@ fn render_everything(cfg: ExpConfig) -> String {
     ));
     for cell in fault_tolerance::sweep(cfg) {
         out.push_str(&format!(
-            "{:?} {} {} {} {}\n",
+            "{:?} {} {} {} {} {} {} {}\n",
             cell.protection,
             cell.fault_rate,
             cell.sdc_rate,
             cell.hit_ratio,
-            cell.faults_injected
+            cell.faults_injected,
+            cell.faults_detected,
+            cell.faults_corrected,
+            cell.faults_silent
         ));
     }
     out

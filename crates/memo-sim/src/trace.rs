@@ -146,21 +146,43 @@ impl OpTrace {
         self.replay_batched(bank, MAX_BATCH_WIDTH);
     }
 
-    /// Batched replay at an explicit tile width.
-    ///
-    /// Tiles are *warps*: same-kind lanes gathered across RLE run
-    /// boundaries into per-kind pending buffers, flushed as full-width
-    /// tiles (short interleaved runs — the common shape of per-pixel
-    /// kernels — would otherwise produce one- and two-lane tiles whose
-    /// setup cost erases the batching win). Each [`OpKind`] drives its own
-    /// table in the bank, so gathering preserves the exact per-table
-    /// operand order and every statistic stays bit-identical to
-    /// [`replay_scalar`](Self::replay_scalar); only the interleaving
-    /// *between* independent tables changes. Partial warps left at the end
-    /// of the trace flush in [`OpKind::ALL`] order. Long runs still stream
-    /// zero-copy: whole-width tiles are sliced straight from the operand
-    /// columns and only run tails touch the gather buffers.
+    /// Batched replay at an explicit tile width: every warp of
+    /// [`for_each_warp`](Self::for_each_warp) goes to
+    /// [`MemoBank::execute_batch`].
     pub fn replay_batched(&self, bank: &mut MemoBank, width: usize) {
+        self.for_each_warp(width, |warp| {
+            bank.execute_batch(warp);
+        });
+    }
+
+    /// Visit the trace as *warps*: same-kind operand tiles of `width`
+    /// lanes (clamped to `1..=`[`MAX_BATCH_WIDTH`]).
+    ///
+    /// Same-kind lanes are gathered across RLE run boundaries into
+    /// per-kind pending buffers and flushed as full-width tiles (short
+    /// interleaved runs — the common shape of per-pixel kernels — would
+    /// otherwise produce one- and two-lane tiles whose setup cost erases
+    /// the batching win). Each kind's lanes arrive in recorded order, so a
+    /// consumer that keeps one independent table per [`OpKind`] sees
+    /// exactly the per-table operand order of a scalar walk and every
+    /// statistic stays bit-identical to [`replay_scalar`](Self::replay_scalar);
+    /// only the interleaving *between* kinds changes. Partial warps left
+    /// at the end of the trace flush in [`OpKind::ALL`] order. Long runs
+    /// still stream zero-copy: whole-width tiles are sliced straight from
+    /// the operand columns and only run tails touch the gather buffers.
+    pub fn for_each_warp(&self, width: usize, f: impl FnMut(&OpBatch<'_>)) {
+        self.gather_warps(width, |_| true, f);
+    }
+
+    /// The warp-gathering loop behind [`for_each_warp`](Self::for_each_warp)
+    /// and [`for_each_kind_batch`](Self::for_each_kind_batch). Runs whose
+    /// kind `keep` rejects are skipped without touching their operands.
+    fn gather_warps(
+        &self,
+        width: usize,
+        keep: impl Fn(OpKind) -> bool,
+        mut f: impl FnMut(&OpBatch<'_>),
+    ) {
         let width = width.clamp(1, MAX_BATCH_WIDTH);
         let mut pend_a = [[0u64; MAX_BATCH_WIDTH]; 4];
         let mut pend_b = [[0u64; MAX_BATCH_WIDTH]; 4];
@@ -170,6 +192,9 @@ impl OpTrace {
         let mut cursor = RunCursor::new(self);
         while let Some(run) = cursor.next_run() {
             let kind = run.kind();
+            if !keep(kind) {
+                continue;
+            }
             let k = lane(kind);
             let unary = kind == OpKind::FpSqrt;
             let (ra, rb) = (run.a(), run.b());
@@ -189,11 +214,11 @@ impl OpTrace {
                     continue; // run exhausted; warp still filling
                 }
                 let b = if unary { &[][..] } else { &pend_b[k][..width] };
-                bank.execute_batch(&OpBatch::new(kind, &pend_a[k][..width], b));
+                f(&OpBatch::new(kind, &pend_a[k][..width], b));
                 fill[k] = 0;
             }
             while n - start >= width {
-                bank.execute_batch(&run.slice(start, width));
+                f(&run.slice(start, width));
                 start += width;
             }
             let rem = n - start;
@@ -209,7 +234,7 @@ impl OpTrace {
             let k = lane(kind);
             if fill[k] > 0 {
                 let b = if kind == OpKind::FpSqrt { &[][..] } else { &pend_b[k][..fill[k]] };
-                bank.execute_batch(&OpBatch::new(kind, &pend_a[k][..fill[k]], b));
+                f(&OpBatch::new(kind, &pend_a[k][..fill[k]], b));
             }
         }
     }
@@ -264,59 +289,11 @@ impl OpTrace {
 
     /// Visit only the operations of `kind` as operand tiles of exactly
     /// `width` lanes (clamped to [`MAX_BATCH_WIDTH`]; only the final tile
-    /// may be shorter). Runs of other kinds are skipped by the run index
-    /// without decoding their operands; lanes of `kind` are gathered
-    /// *across* run boundaries in recorded order, so short interleaved
-    /// runs still fill whole warps. Long runs stream zero-copy; only run
-    /// tails are staged through the gather buffer.
-    pub fn for_each_kind_batch(&self, kind: OpKind, width: usize, mut f: impl FnMut(&OpBatch<'_>)) {
-        let width = width.clamp(1, MAX_BATCH_WIDTH);
-        let unary = kind == OpKind::FpSqrt;
-        let mut buf_a = [0u64; MAX_BATCH_WIDTH];
-        let mut buf_b = [0u64; MAX_BATCH_WIDTH];
-        let mut fill = 0usize;
-
-        let mut cursor = RunCursor::new(self);
-        while let Some(run) = cursor.next_run() {
-            if run.kind() != kind {
-                continue;
-            }
-            let (ra, rb) = (run.a(), run.b());
-            let n = run.len();
-            let mut start = 0usize;
-
-            if fill > 0 {
-                let take = (width - fill).min(n);
-                buf_a[fill..fill + take].copy_from_slice(&ra[..take]);
-                if !unary {
-                    buf_b[fill..fill + take].copy_from_slice(&rb[..take]);
-                }
-                fill += take;
-                start = take;
-                if fill < width {
-                    continue;
-                }
-                let b = if unary { &[][..] } else { &buf_b[..width] };
-                f(&OpBatch::new(kind, &buf_a[..width], b));
-                fill = 0;
-            }
-            while n - start >= width {
-                f(&run.slice(start, width));
-                start += width;
-            }
-            let rem = n - start;
-            if rem > 0 {
-                buf_a[..rem].copy_from_slice(&ra[start..]);
-                if !unary {
-                    buf_b[..rem].copy_from_slice(&rb[start..]);
-                }
-                fill = rem;
-            }
-        }
-        if fill > 0 {
-            let b = if unary { &[][..] } else { &buf_b[..fill] };
-            f(&OpBatch::new(kind, &buf_a[..fill], b));
-        }
+    /// may be shorter): the warps of [`for_each_warp`](Self::for_each_warp)
+    /// of that kind. Runs of other kinds are skipped by the run index
+    /// without decoding their operands.
+    pub fn for_each_kind_batch(&self, kind: OpKind, width: usize, f: impl FnMut(&OpBatch<'_>)) {
+        self.gather_warps(width, |k| k == kind, f);
     }
 
     /// Replay the trace as [`Event::Arith`] events into an arbitrary sink

@@ -139,7 +139,7 @@ pub trait Memoizer {
     ///
     /// [`execute`]: Memoizer::execute
     fn execute_batch(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
-        execute_each(self, batch)
+        execute_each(self, batch, None)
     }
 
     /// Statistics accumulated since construction or the last [`reset`]
@@ -164,17 +164,23 @@ pub trait Memoizer {
 
 /// [`Memoizer::execute`] on every lane of `batch` in order, tallied — the
 /// trait's default batch path and the fallback of tables whose
-/// lane-parallel path does not apply.
+/// lane-parallel path does not apply. With `served`, lane `i`'s value
+/// bits land in `served[i]`.
 pub(crate) fn execute_each<M: Memoizer + ?Sized>(
     table: &mut M,
     batch: &OpBatch<'_>,
+    mut served: Option<&mut [u64]>,
 ) -> BatchOutcome {
     let mut out = BatchOutcome::default();
     for i in 0..batch.len() {
-        match table.execute(batch.op(i)).outcome {
+        let executed = table.execute(batch.op(i));
+        match executed.outcome {
             Outcome::Hit => out.hits += 1,
             Outcome::Trivial => out.trivials += 1,
             Outcome::Filtered | Outcome::Miss => {}
+        }
+        if let Some(served) = served.as_deref_mut() {
+            served[i] = executed.value.to_bits();
         }
     }
     out

@@ -109,6 +109,10 @@ pub struct MemoTable {
     /// one does, every stored tag equals its clean copy and the tag scrub
     /// has nothing to find.
     tag_drift: bool,
+    /// A value strike has landed since construction or the last reset.
+    /// Until one does, every valid slot's payload equals its clean copy,
+    /// so a read with no fault process attached serves the stored payload.
+    value_drift: bool,
 }
 
 impl MemoTable {
@@ -133,6 +137,7 @@ impl MemoTable {
             rng: 0x9E37_79B9_7F4A_7C15,
             injector: None,
             tag_drift: false,
+            value_drift: false,
         }
     }
 
@@ -306,6 +311,7 @@ impl MemoTable {
         if let Some(mask) = self.injector.as_mut().and_then(FaultInjector::value_strike) {
             self.value[slot] ^= mask;
             self.stats.faults_injected += 1;
+            self.value_drift = true;
         }
 
         let clean = self.clean_value[slot];
@@ -402,28 +408,142 @@ impl MemoTable {
         Ok((key, set))
     }
 
-    /// Lane-parallel batch execution for fault-free, unprotected
-    /// **full-value** tables — the paper-default configuration and the hot
-    /// path of every sweep.
+    /// `true` when a fault hook can change what a probe does: an enabled
+    /// soft-error process, or a stored tag or payload that still differs
+    /// from its clean copy (a strike that landed before the injector was
+    /// detached or disabled).
+    fn fault_source(&self) -> bool {
+        self.tag_drift
+            || self.value_drift
+            || self.injector.as_ref().is_some_and(|i| !i.config().is_disabled())
+    }
+
+    /// Batched execution that also reports what the table served: lane
+    /// `i`'s value bits land in `served[i]`, exactly
+    /// `execute(batch.op(i)).value` — faults and protection included. A
+    /// caller that compares `served` with `truth` counts the lanes that
+    /// were silently corrupted, with no second pass over the table.
+    ///
+    /// `truth[i]` must be the true result bits of lane `i`
+    /// ([`Op::compute`]). On a full-value table a miss inserts it instead
+    /// of recomputing it; debug builds check that the two agree, as
+    /// [`Memoizer::update`] does. Statistics, table state and the returned
+    /// tally are those of [`Memoizer::execute_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `truth` or `served` does not have one element per lane.
+    pub fn execute_batch_with_truth(
+        &mut self,
+        batch: &OpBatch<'_>,
+        truth: &[u64],
+        served: &mut [u64],
+    ) -> BatchOutcome {
+        assert_eq!(truth.len(), batch.len(), "one true result per lane");
+        assert_eq!(served.len(), batch.len(), "one served slot per lane");
+        self.run_batch(batch, Some((truth, served)))
+    }
+
+    /// Route a batch: every full-value table takes the lane kernel, with
+    /// the fault hooks compiled in only when a fault source exists;
+    /// mantissa-only tables run [`Memoizer::execute`] per lane.
+    fn run_batch(
+        &mut self,
+        batch: &OpBatch<'_>,
+        truth_served: Option<(&[u64], &mut [u64])>,
+    ) -> BatchOutcome {
+        if self.cfg.tag() != TagPolicy::FullValue {
+            return execute_each(self, batch, truth_served.map(|(_, served)| served));
+        }
+        match (self.fault_source(), truth_served.is_some()) {
+            (true, true) => self.execute_batch_lanes_full::<true, true>(batch, truth_served),
+            (true, false) => self.execute_batch_lanes_full::<true, false>(batch, None),
+            (false, true) => self.execute_batch_lanes_full::<false, true>(batch, truth_served),
+            (false, false) => self.execute_batch_lanes_full::<false, false>(batch, None),
+        }
+    }
+
+    /// One set probe of the lane kernel: [`probe_keyed`](Self::probe_keyed)
+    /// with the clock in a register. When `HOOKED`, the tag scrub and the
+    /// tag-strike draw run first and a matched entry is read through
+    /// [`read_protected`](Self::read_protected) (with the operation `op`
+    /// builds), each under the same gate as the scalar probe. Returns the
+    /// bits served (only computed when `SERVE`; 0 otherwise), or `None`
+    /// for a miss or a downgraded hit.
+    #[inline(always)]
+    fn probe_lane<const HOOKED: bool, const SERVE: bool>(
+        &mut self,
+        base: usize,
+        key: Key,
+        clock: &mut u64,
+        hooks: LaneHooks,
+        op: impl FnOnce() -> Op,
+    ) -> Option<u64> {
+        if HOOKED {
+            if self.tag_drift {
+                self.scrub_tags(base);
+            }
+            if hooks.tag_strikes {
+                if let Some((way_draw, bit)) =
+                    self.injector.as_mut().and_then(FaultInjector::tag_strike)
+                {
+                    self.strike_tag(base, way_draw, bit);
+                }
+            }
+        }
+        *clock += 1;
+        let slot = self.find(base, key)?;
+        self.last_use[slot] = *clock;
+        if HOOKED && hooks.read {
+            self.read_protected(&op(), slot).map(Value::to_bits)
+        } else if SERVE {
+            Some(self.value[slot])
+        } else {
+            Some(0)
+        }
+    }
+
+    /// Lane-parallel batch execution for **full-value** tables — every
+    /// table of the paper's experiments, protected or fault-injected.
     ///
     /// Under [`TagPolicy::FullValue`] every lane is encodable (no bypass
     /// lanes) and a matched payload always decodes, so the whole per-lane
     /// cascade collapses: trivial masks and set indices are filled in
     /// lane-parallel loops, tags are two raw-column loads folded inline,
-    /// and the serial resolve keeps the clock and every statistic in
+    /// and the serial resolve keeps the clock and the probe statistics in
     /// registers, flushing to the table's counters once per batch. The
     /// decision sequence per lane — probe, swapped probe, insert, every
     /// clock tick and LRU stamp — is exactly the scalar one, so state and
     /// stats land bit-identical to [`Memoizer::execute`] lane by lane.
-    fn execute_batch_lanes_full(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
-        debug_assert!(self.injector.is_none() && self.cfg.protection() == Protection::None);
+    ///
+    /// `HOOKED` compiles in the fault hooks of the scalar probe, in its
+    /// order: before each set probe the tag scrub (once a tag strike has
+    /// landed) and the tag-strike draw (at a non-zero tag rate); after a
+    /// tag match the protected read (at a non-zero value or stuck-at rate,
+    /// or once a payload has drifted), where a downgraded hit falls
+    /// through to the swapped probe and then the insert. Without a fault
+    /// source every hook is a no-op and a match serves its stored payload,
+    /// which is what the protected read returns at zero errors under every
+    /// policy — so a fault-free table runs `HOOKED = false`.
+    ///
+    /// `SERVE` is set exactly when `truth_served` is given: a miss then
+    /// inserts the caller's true result instead of recomputing it, and
+    /// each lane's served bits are written out (see
+    /// [`execute_batch_with_truth`](Self::execute_batch_with_truth)).
+    fn execute_batch_lanes_full<const HOOKED: bool, const SERVE: bool>(
+        &mut self,
+        batch: &OpBatch<'_>,
+        mut truth_served: Option<(&[u64], &mut [u64])>,
+    ) -> BatchOutcome {
         debug_assert_eq!(self.cfg.tag(), TagPolicy::FullValue);
+        debug_assert_eq!(SERVE, truth_served.is_some());
         let kind = batch.kind();
         let scheme = self.cfg.hash();
         let (sets, ways) = (self.sets, self.ways);
         let trivial_policy = self.cfg.trivial();
         let commutative = self.cfg.commutative() && kind.is_commutative();
         let swap_hashes = commutative && scheme == HashScheme::FoldMix;
+        let hooks = if HOOKED { self.lane_hooks() } else { LaneHooks::default() };
 
         let mut out = BatchOutcome::default();
         let (mut ops_seen, mut trivial_seen, mut lookups) = (0u64, 0u64, 0u64);
@@ -435,6 +555,7 @@ impl MemoTable {
             let w = (batch.len() - start).min(MAX_BATCH_WIDTH);
             let a = &batch.a()[start..start + w];
             let b = if batch.b().is_empty() { &[][..] } else { &batch.b()[start..start + w] };
+            let first = start;
             start += w;
 
             let mut trivial = [false; MAX_BATCH_WIDTH];
@@ -447,50 +568,80 @@ impl MemoTable {
             }
 
             for i in 0..w {
+                let lane = first + i;
                 ops_seen += 1;
-                if trivial[i] {
-                    trivial_seen += 1;
-                    match trivial_policy {
-                        TrivialPolicy::Exclude => continue,
-                        TrivialPolicy::Integrate => {
-                            out.trivials += 1;
-                            continue;
+                // The bits this lane serves; `None` for a trivial lane,
+                // which serves the true result.
+                let served = 'lane: {
+                    if trivial[i] {
+                        trivial_seen += 1;
+                        match trivial_policy {
+                            TrivialPolicy::Exclude => break 'lane None,
+                            TrivialPolicy::Integrate => {
+                                out.trivials += 1;
+                                break 'lane None;
+                            }
+                            TrivialPolicy::Memoize => {}
                         }
-                        TrivialPolicy::Memoize => {}
                     }
-                }
-                lookups += 1;
-                let ai = a[i];
-                let bi = if b.is_empty() { ai } else { b[i] };
-                let tag = ((ai as u128) << 64) | bi as u128;
-                let set = set_idx[i] as usize;
+                    lookups += 1;
+                    let ai = a[i];
+                    let bi = if b.is_empty() { ai } else { b[i] };
+                    let tag = ((ai as u128) << 64) | bi as u128;
+                    let set = set_idx[i] as usize;
 
-                clock += 1;
-                if let Some(slot) = self.find(set * ways, Key { kind, tag }) {
-                    self.last_use[slot] = clock;
-                    hits += 1;
-                    out.hits += 1;
-                    continue;
-                }
-
-                if commutative {
-                    let stag = ((bi as u128) << 64) | ai as u128;
-                    let sset = if swap_hashes { swapped_set_idx[i] as usize } else { set };
-                    clock += 1;
-                    if let Some(slot) = self.find(sset * ways, Key { kind, tag: stag }) {
-                        self.last_use[slot] = clock;
+                    let key = Key { kind, tag };
+                    let op = || batch.op(lane);
+                    if let Some(bits) =
+                        self.probe_lane::<HOOKED, SERVE>(set * ways, key, &mut clock, hooks, op)
+                    {
                         hits += 1;
-                        comm_hits += 1;
                         out.hits += 1;
-                        continue;
+                        break 'lane Some(bits);
+                    }
+
+                    if commutative {
+                        let stag = ((bi as u128) << 64) | ai as u128;
+                        let sset = if swap_hashes { swapped_set_idx[i] as usize } else { set };
+                        let key = Key { kind, tag: stag };
+                        let op = || batch.op(lane).swapped().expect("commutative kinds swap");
+                        if let Some(bits) = self.probe_lane::<HOOKED, SERVE>(
+                            sset * ways,
+                            key,
+                            &mut clock,
+                            hooks,
+                            op,
+                        ) {
+                            hits += 1;
+                            comm_hits += 1;
+                            out.hits += 1;
+                            break 'lane Some(bits);
+                        }
+                    }
+
+                    // Miss: insert the true result, syncing the register
+                    // clock with the shared helper's tick.
+                    let result = match &truth_served {
+                        Some((truth, _)) if SERVE => {
+                            debug_assert_eq!(
+                                truth[lane],
+                                compute_bits(kind, ai, bi),
+                                "the caller's truth must be the true result"
+                            );
+                            truth[lane]
+                        }
+                        _ => compute_bits(kind, ai, bi),
+                    };
+                    self.clock = clock;
+                    self.insert(set, key, result);
+                    clock = self.clock;
+                    Some(result)
+                };
+                if SERVE {
+                    if let Some((truth, out_bits)) = truth_served.as_mut() {
+                        out_bits[lane] = served.unwrap_or(truth[lane]);
                     }
                 }
-
-                // Miss: compute and insert, syncing the register clock with
-                // the shared helper's tick.
-                self.clock = clock;
-                self.insert(set, Key { kind, tag }, compute_bits(kind, ai, bi));
-                clock = self.clock;
             }
         }
 
@@ -502,6 +653,28 @@ impl MemoTable {
         self.stats.commutative_hits += comm_hits;
         out
     }
+
+    /// The hooks a fault-injected batch runs, fixed for the batch: the
+    /// injector's rates never change, and a payload can only start to
+    /// drift at a non-zero value rate.
+    fn lane_hooks(&self) -> LaneHooks {
+        let rates = self.injector.as_ref().map(FaultInjector::config);
+        LaneHooks {
+            tag_strikes: rates.is_some_and(|r| r.tag_flip_rate > 0.0),
+            read: self.value_drift
+                || rates.is_some_and(|r| r.value_flip_rate > 0.0 || r.stuck_at_rate > 0.0),
+        }
+    }
+}
+
+/// Which fault hooks the lane kernel runs on a fault-injected table.
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneHooks {
+    /// Draw a tag strike before each set probe.
+    tag_strikes: bool,
+    /// Read a matched entry through the fault process and the protection
+    /// policy instead of serving the stored payload.
+    read: bool,
 }
 
 impl Memoizer for MemoTable {
@@ -538,21 +711,14 @@ impl Memoizer for MemoTable {
         }
     }
 
-    /// Batched execution. Fault-free, unprotected full-value tables — the
-    /// paper default and the hot path of every replay — take the
-    /// lane-parallel front end. Everything else runs [`Memoizer::execute`]
-    /// per lane: fault injection and protection mutate per-probe state
-    /// (strike draws, scrubs, invalidations), and mantissa-only tags are
-    /// too rare on the experiment workloads for a second lane path to pay.
+    /// Batched execution. Every full-value table — the paper default and
+    /// every table of the fault study — takes the lane kernel, with the
+    /// fault and protection hooks compiled in only when the table has a
+    /// fault source. Mantissa-only tables run [`Memoizer::execute`] per
+    /// lane: they are too rare on the experiment workloads for a second
+    /// lane path to pay.
     fn execute_batch(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
-        if self.injector.is_none()
-            && self.cfg.protection() == Protection::None
-            && self.cfg.tag() == TagPolicy::FullValue
-        {
-            self.execute_batch_lanes_full(batch)
-        } else {
-            execute_each(self, batch)
-        }
+        self.run_batch(batch, None)
     }
 
     fn update(&mut self, op: Op, result: Value) {
@@ -577,6 +743,7 @@ impl Memoizer for MemoTable {
     fn reset(&mut self) {
         self.valid.fill(false);
         self.tag_drift = false;
+        self.value_drift = false;
         self.clock = 0;
         self.stats = MemoStats::new();
         self.rng = 0x9E37_79B9_7F4A_7C15;

@@ -6,15 +6,17 @@
 //! mantissa-hostile values.
 //!
 //! The oracle is the scalar `Memoizer::execute` loop; the subject is the
-//! table's `execute_batch` driven through uneven batch slices. The
+//! table's `execute_batch` driven through uneven batch slices. Fault-
+//! injected tables are also driven through `execute_batch_with_truth`,
+//! whose per-lane served bits must be exactly what `execute` served. The
 //! independent oracle for both is `reference_model.rs`.
 
 mod common;
 
 use common::stream;
 use memo_table::{
-    Assoc, BatchOutcome, HashScheme, MemoConfig, MemoStats, MemoTable, Memoizer, OpBatch, OpKind,
-    Outcome, Protection, Replacement, TagPolicy, TrivialPolicy,
+    Assoc, BatchOutcome, FaultConfig, FaultInjector, HashScheme, MemoConfig, MemoStats, MemoTable,
+    Memoizer, OpBatch, OpKind, Outcome, Protection, Replacement, TagPolicy, TrivialPolicy,
 };
 
 /// Scalar oracle: per-op `execute` loop, tallying outcomes like
@@ -31,19 +33,27 @@ fn run_scalar(table: &mut dyn Memoizer, batch: &OpBatch<'_>) -> BatchOutcome {
     out
 }
 
-/// Subject: `execute_batch` over deliberately uneven tile widths so both
-/// full tiles and partial tails (down to single-lane batches) are hit.
-fn run_batched(table: &mut dyn Memoizer, batch: &OpBatch<'_>) -> BatchOutcome {
+/// Call `f(start, width)` over `len` lanes in deliberately uneven tile
+/// widths, so both full tiles and partial tails (down to single-lane
+/// batches) are hit.
+fn for_uneven_tiles(len: usize, mut f: impl FnMut(usize, usize)) {
     const WIDTHS: [usize; 8] = [1, 5, 64, 7, 33, 2, 64, 19];
-    let mut out = BatchOutcome::default();
     let mut start = 0;
     let mut wi = 0;
-    while start < batch.len() {
-        let w = WIDTHS[wi % WIDTHS.len()].min(batch.len() - start);
-        out.absorb(table.execute_batch(&batch.slice(start, w)));
+    while start < len {
+        let w = WIDTHS[wi % WIDTHS.len()].min(len - start);
+        f(start, w);
         start += w;
         wi += 1;
     }
+}
+
+/// Subject: `execute_batch` over uneven tile widths.
+fn run_batched(table: &mut dyn Memoizer, batch: &OpBatch<'_>) -> BatchOutcome {
+    let mut out = BatchOutcome::default();
+    for_uneven_tiles(batch.len(), |start, w| {
+        out.absorb(table.execute_batch(&batch.slice(start, w)));
+    });
     out
 }
 
@@ -225,4 +235,180 @@ fn streams_exercise_all_outcome_classes() {
     assert!(saw.bypasses > 0, "no mantissa bypasses");
     assert!(saw.evictions > 0, "no capacity pressure");
     assert!(saw.insertions > 0, "no insertions");
+}
+
+/// Scalar oracle with the value each lane served, as result bits.
+fn scalar_served(table: &mut MemoTable, batch: &OpBatch<'_>) -> (BatchOutcome, Vec<u64>) {
+    let mut out = BatchOutcome::default();
+    let served = (0..batch.len())
+        .map(|i| {
+            let executed = table.execute(batch.op(i));
+            match executed.outcome {
+                Outcome::Hit => out.hits += 1,
+                Outcome::Trivial => out.trivials += 1,
+                Outcome::Filtered | Outcome::Miss => {}
+            }
+            executed.value.to_bits()
+        })
+        .collect();
+    (out, served)
+}
+
+/// Subject: `execute_batch_with_truth` over uneven tile widths, handed
+/// each lane's true result.
+fn truth_served(table: &mut MemoTable, batch: &OpBatch<'_>) -> (BatchOutcome, Vec<u64>) {
+    let truth: Vec<u64> = (0..batch.len()).map(|i| batch.op(i).compute().to_bits()).collect();
+    let mut served = vec![0; batch.len()];
+    let mut out = BatchOutcome::default();
+    for_uneven_tiles(batch.len(), |start, w| {
+        out.absorb(table.execute_batch_with_truth(
+            &batch.slice(start, w),
+            &truth[start..start + w],
+            &mut served[start..start + w],
+        ));
+    });
+    (out, served)
+}
+
+/// Each fault source alone, then all three at once: value strikes at 0.1
+/// (half of them double flips), tag strikes at 0.2 per probed set, and
+/// 30% of the slots stuck at one value bit.
+fn fault_sources() -> [(&'static str, FaultConfig); 4] {
+    let value = FaultConfig::single_bit(0xBA7C_FA17, 0.1).with_double_fraction(0.5);
+    let tag = FaultConfig::disabled().with_seed(0xBA7C_FA17).with_tag_rate(0.2);
+    let stuck = FaultConfig::disabled().with_seed(0xBA7C_FA17).with_stuck_rate(0.3);
+    let all = value.with_tag_rate(0.2).with_stuck_rate(0.3);
+    [("value", value), ("tag", tag), ("stuck", stuck), ("all", all)]
+}
+
+/// Fault-injected tables: every fault source × protection × replacement
+/// × geometry × tag policy, with trivial policy, hash and commutativity
+/// rotated. Full-value tables take the lane kernel, mantissa-only tables
+/// the per-lane path. The scalar oracle, `execute_batch` and
+/// `execute_batch_with_truth` must agree on tallies, statistics (every
+/// fault counter included), stored state, and — for the truth-supplying
+/// path — the bits served on every lane.
+#[test]
+fn fault_injected_batches_equal_scalar() {
+    let assocs = [Assoc::DirectMapped, Assoc::Ways(4), Assoc::Full];
+    let replacements = [Replacement::Lru, Replacement::Fifo, Replacement::Random];
+    let hashes = [HashScheme::PaperXor, HashScheme::FoldMix];
+
+    let mut saw = MemoStats::default();
+    let mut corrupted_lanes = 0usize;
+    let mut rotor = 0usize;
+    for kind in OpKind::ALL {
+        let (a, b) = stream(kind, 0x1998_0016, 480);
+        let batch = OpBatch::new(kind, &a, &b);
+        for (source, faults) in fault_sources() {
+            for (protection, tag) in Protection::ALL
+                .into_iter()
+                .flat_map(|p| [TagPolicy::FullValue, TagPolicy::MantissaOnly].map(|t| (p, t)))
+            {
+                for replacement in replacements {
+                    for assoc in assocs {
+                        let cfg = MemoConfig::builder(16)
+                            .assoc(assoc)
+                            .replacement(replacement)
+                            .protection(protection)
+                            .tag(tag)
+                            .trivial(TRIVIALS[rotor % TRIVIALS.len()])
+                            .hash(hashes[(rotor / 3) % hashes.len()])
+                            .commutative(!rotor.is_multiple_of(4))
+                            .build()
+                            .expect("valid config");
+                        rotor += 1;
+                        let label =
+                            format!("{} {source} faults, {}", kind.label(), cfg.canonical());
+                        let table =
+                            || MemoTable::new(cfg).with_fault_injector(FaultInjector::new(faults));
+
+                        let mut scalar = table();
+                        let (want, want_served) = scalar_served(&mut scalar, &batch);
+                        let mut with_truth = table();
+                        let (got, got_served) = truth_served(&mut with_truth, &batch);
+                        let mut batched = table();
+                        let got_batched = run_batched(&mut batched, &batch);
+
+                        assert_eq!(got, want, "{label}: truth-path tallies diverged");
+                        assert_eq!(got_batched, want, "{label}: batch tallies diverged");
+                        for (i, (g, w)) in got_served.iter().zip(&want_served).enumerate() {
+                            assert_eq!(g, w, "{label}: lane {i} served {g:#x}, scalar {w:#x}");
+                        }
+                        let stats = Memoizer::stats(&scalar);
+                        assert_eq!(
+                            Memoizer::stats(&with_truth),
+                            stats,
+                            "{label}: truth-path stats"
+                        );
+                        assert_eq!(Memoizer::stats(&batched), stats, "{label}: batch stats");
+
+                        // Stored entries, recency, drift and the injector's
+                        // streams all feed the next pass: run the tail of the
+                        // stream through each table again, scalar.
+                        let probe = batch.slice(batch.len() - 96, 96);
+                        let want2 = scalar_served(&mut scalar, &probe);
+                        assert_eq!(
+                            scalar_served(&mut with_truth, &probe),
+                            want2,
+                            "{label}: post-pass"
+                        );
+                        assert_eq!(
+                            scalar_served(&mut batched, &probe),
+                            want2,
+                            "{label}: post-pass"
+                        );
+
+                        corrupted_lanes += (0..batch.len())
+                            .filter(|&i| want_served[i] != batch.op(i).compute().to_bits())
+                            .count();
+                        saw.faults_injected += stats.faults_injected;
+                        saw.faults_detected += stats.faults_detected;
+                        saw.faults_corrected += stats.faults_corrected;
+                        saw.faults_silent += stats.faults_silent;
+                        saw.commutative_hits += stats.commutative_hits;
+                    }
+                }
+            }
+        }
+    }
+    // Anchor: the grid must really strike, detect, correct, leak and serve
+    // corrupted lanes, or the comparisons above prove nothing.
+    assert!(saw.faults_injected > 0 && saw.faults_detected > 0, "{saw:?}");
+    assert!(saw.faults_corrected > 0 && saw.faults_silent > 0, "{saw:?}");
+    assert!(saw.commutative_hits > 0, "{saw:?}");
+    assert!(corrupted_lanes > 0, "no lane was served a corrupted value");
+}
+
+/// Detaching a fault process leaves its strikes behind: drifted tags and
+/// payloads that scalar `execute` still scrubs and checks. The batch
+/// paths must keep their hooks on for such a table, whether only
+/// payloads drifted or tags too.
+#[test]
+fn drift_left_by_a_detached_injector_keeps_the_hooks() {
+    let value = FaultConfig::single_bit(0xDE7A_C4ED, 0.3);
+    for faults in [value, value.with_tag_rate(0.3)] {
+        for kind in OpKind::ALL {
+            let (a, b) = stream(kind, 0x1998_0017, 480);
+            let batch = OpBatch::new(kind, &a, &b);
+            let (first, rest) = (batch.slice(0, 240), batch.slice(240, 240));
+            for protection in Protection::ALL {
+                let cfg = MemoConfig::builder(16).protection(protection).build().expect("valid");
+                let label = format!("{} {faults:?}, {}", kind.label(), cfg.canonical());
+                let struck = || {
+                    let mut t = MemoTable::new(cfg).with_fault_injector(FaultInjector::new(faults));
+                    scalar_served(&mut t, &first);
+                    t.set_fault_injector(None);
+                    t
+                };
+                let (mut scalar, mut with_truth, mut batched) = (struck(), struck(), struck());
+                let want = scalar_served(&mut scalar, &rest);
+                assert_eq!(truth_served(&mut with_truth, &rest), want, "{label}: truth path");
+                assert_eq!(run_batched(&mut batched, &rest), want.0, "{label}: batch tallies");
+                let stats = Memoizer::stats(&scalar);
+                assert_eq!(Memoizer::stats(&with_truth), stats, "{label}: truth-path stats");
+                assert_eq!(Memoizer::stats(&batched), stats, "{label}: batch stats");
+            }
+        }
+    }
 }
