@@ -1,11 +1,10 @@
-//! Shared command-line handling for the experiment binaries.
+//! Shared command-line handling for the workspace's binaries.
 //!
-//! The twenty-odd table/figure binaries take no positional arguments and
-//! at most a couple of flags; before this module an unknown flag was
-//! silently ignored, so `table5 --sacle=2` happily ran at default scale.
-//! Every binary now calls [`enforce`] first: `--help`/`-h` prints usage
-//! and exits 0, anything unrecognized prints usage to stderr and exits 2
-//! (the conventional usage-error code).
+//! Before this module an unknown flag was silently ignored, so
+//! `table5 --sacle=2` happily ran at default scale. The servers call
+//! [`enforce`] first and `memo-experiments` calls [`validate_word`]:
+//! `--help`/`-h` prints usage and exits 0, anything unrecognized prints
+//! usage to stderr and exits 2 (the conventional usage-error code).
 
 /// What to do with a parsed argument list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -14,7 +13,7 @@ pub enum Decision {
     Run,
     /// `--help`/`-h` requested.
     Help,
-    /// An argument was not recognized.
+    /// An argument was not recognized; the text names it.
     Reject(String),
 }
 
@@ -38,6 +37,28 @@ pub fn validate<I: IntoIterator<Item = String>>(flags: &[(&str, &str)], args: I)
         }
     }
     Decision::Run
+}
+
+/// Classify a subcommand line (`args` without the program name): the
+/// leading word must be one of `words`, each listed with the flags it
+/// accepts, and the rest must pass [`validate`] against that word's
+/// flags. `--help`/`-h` anywhere wins; a rejection names the missing
+/// word, the unknown word, or the word and the flag it does not take.
+#[must_use]
+pub fn validate_word(words: &[(&str, &[(&str, &str)])], args: &[String]) -> Decision {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Decision::Help;
+    }
+    let Some(word) = args.first() else {
+        return Decision::Reject("missing word".to_string());
+    };
+    let Some((_, flags)) = words.iter().find(|(w, _)| w == word) else {
+        return Decision::Reject(format!("unknown word {word:?}"));
+    };
+    match validate(flags, args[1..].iter().cloned()) {
+        Decision::Reject(arg) => Decision::Reject(format!("{word} does not take {arg:?}")),
+        decision => decision,
+    }
 }
 
 /// Render the usage text for `bin`.
@@ -114,6 +135,26 @@ mod tests {
             validate(&flags, strings(&["--csv=yes"])),
             Decision::Reject("--csv=yes".to_string())
         );
+    }
+
+    #[test]
+    fn words_pick_their_own_flags() {
+        let words: [(&str, &[(&str, &str)]); 3] =
+            [("fig2", &[("--csv", "")]), ("table5", &[]), ("sweep", &[("--entries=", "")])];
+        let check = |args: &[&str]| validate_word(&words, &strings(args));
+        assert_eq!(check(&["fig2", "--csv"]), Decision::Run);
+        assert_eq!(check(&["sweep", "--entries=8,16"]), Decision::Run);
+        assert_eq!(check(&["table5"]), Decision::Run);
+        let reject = |why: &str| Decision::Reject(why.to_string());
+        assert_eq!(check(&["table5", "--csv"]), reject(r#"table5 does not take "--csv""#));
+        assert_eq!(check(&["sweep", "--entries"]), reject(r#"sweep does not take "--entries""#));
+        assert_eq!(check(&["table99"]), reject(r#"unknown word "table99""#));
+        assert_eq!(check(&["--csv"]), reject(r#"unknown word "--csv""#));
+        assert_eq!(check(&[]), reject("missing word"));
+        // Help wins over a bad word, a bad flag, or no word at all.
+        for args in [&["--help"][..], &["table99", "-h"], &["table5", "--csv", "--help"]] {
+            assert_eq!(check(args), Decision::Help, "{args:?}");
+        }
     }
 
     #[test]

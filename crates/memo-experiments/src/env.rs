@@ -1,8 +1,8 @@
 //! Shared environment-variable parsing.
 //!
 //! Every knob the harness reads from the environment (`MEMO_SCALE`,
-//! `MEMO_SCI_N`, `MEMO_JOBS`, the `MEMO_STORE_*` and `MEMO_REGION_*`
-//! families, and the serving knobs built on top) parses the same way:
+//! `MEMO_SCI_N`, `MEMO_JOBS`, the `MEMO_STORE_*` family, and the serving
+//! knobs built on top) parses the same way:
 //! trimmed, base-10,
 //! silently ignored when absent or malformed, clamped into a documented
 //! range when one exists. This module is the one implementation; the
@@ -49,42 +49,10 @@ pub const STORE_KNOBS: [(&str, &str, usize, usize); 5] = [
     ("MEMO_STORE_BLOCK_CACHE_CAP", "cached spans (0 disables)", 0, 1 << 20),
 ];
 
-/// The region-memoization knobs (crate `memo-region`), same contract as
-/// [`STORE_KNOBS`]:
-///
-/// | variable | default | range | tunes |
-/// |---|---|---|---|
-/// | `MEMO_REGION_MAX_LEN` | 16 | 2 – 64 | longest pure instruction run one region may cover |
-/// | `MEMO_REGION_TABLE` | 64 | 8 – 4096 | region-table entries (rounded down to a power of two) |
-pub const REGION_KNOBS: [(&str, &str, usize, usize); 2] = [
-    ("MEMO_REGION_MAX_LEN", "max instructions per region", 2, 64),
-    ("MEMO_REGION_TABLE", "region-table entries", 8, 4096),
-];
-
-fn table_knob(table: &[(&str, &str, usize, usize)], name: &str) -> Option<usize> {
-    let (_, _, min, max) =
-        table.iter().find(|(n, ..)| *n == name).expect("knob listed in its table");
-    ranged_var(name, *min, *max)
-}
-
 fn knob(name: &str) -> Option<usize> {
-    table_knob(&STORE_KNOBS, name)
-}
-
-/// Longest pure run one region may cover: `MEMO_REGION_MAX_LEN` under
-/// the [`REGION_KNOBS`] range, defaulting to 16.
-#[must_use]
-pub fn region_max_len() -> usize {
-    table_knob(&REGION_KNOBS, "MEMO_REGION_MAX_LEN").unwrap_or(16)
-}
-
-/// Region-table entry count: `MEMO_REGION_TABLE` under the
-/// [`REGION_KNOBS`] range, defaulting to 64 and rounded *down* to a
-/// power of two (the table geometry requires it).
-#[must_use]
-pub fn region_table_entries() -> usize {
-    let v = table_knob(&REGION_KNOBS, "MEMO_REGION_TABLE").unwrap_or(64);
-    1 << (usize::BITS - 1 - v.leading_zeros())
+    let (_, _, min, max) =
+        STORE_KNOBS.iter().find(|(n, ..)| *n == name).expect("knob listed in STORE_KNOBS");
+    ranged_var(name, *min, *max)
 }
 
 /// [`StoreConfig`] defaults overridden by the `MEMO_STORE_*` variables
@@ -186,23 +154,5 @@ mod tests {
         assert_eq!(fresh.bloom_bits_per_key, default.bloom_bits_per_key);
         assert_eq!(fresh.compact_at_segments, default.compact_at_segments);
         assert_eq!(store_block_cache_spans(), 256);
-    }
-
-    #[test]
-    fn region_knobs_clamp_and_round_to_powers_of_two() {
-        assert_eq!(region_max_len(), 16);
-        assert_eq!(region_table_entries(), 64);
-        std::env::set_var("MEMO_REGION_MAX_LEN", "1"); // below range → clamped to 2
-        std::env::set_var("MEMO_REGION_TABLE", "100"); // in range → rounded down to 64
-        assert_eq!(region_max_len(), 2);
-        assert_eq!(region_table_entries(), 64);
-        std::env::set_var("MEMO_REGION_MAX_LEN", "999"); // above range → clamped to 64
-        std::env::set_var("MEMO_REGION_TABLE", "99999"); // above range → clamped, still pow2
-        assert_eq!(region_max_len(), 64);
-        assert_eq!(region_table_entries(), 4096);
-        for (name, ..) in REGION_KNOBS {
-            std::env::remove_var(name);
-        }
-        assert_eq!((region_max_len(), region_table_entries()), (16, 64));
     }
 }

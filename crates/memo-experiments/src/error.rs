@@ -3,7 +3,7 @@
 //! Experiments used to `expect()` their way past fallible lookups (app
 //! registries, regression fits); a typo in an app list or a degenerate
 //! scatter would abort the whole reproduction run. Every runner now
-//! returns [`ExperimentError`] instead, and `all_experiments` downgrades a
+//! returns [`ExperimentError`] instead, and `memo-experiments all` downgrades a
 //! failing experiment to a reported failure rather than a crash.
 
 use std::fmt;

@@ -1,8 +1,11 @@
 //! # memo-experiments
 //!
 //! The harness that regenerates **every table and figure** of the paper's
-//! evaluation (§3). One module per experiment; one binary per table/figure
-//! (`table1` … `table13`, `fig2`, `fig3`, `fig4`, and `all_experiments`).
+//! evaluation (§3). One module per experiment, and one table of artifacts,
+//! [`runner::ARTIFACTS`], behind one command: `memo-experiments <word>`
+//! prints one artifact (`table1` … `table13`, `fig2`, `fig3`, `fig4`, …),
+//! `memo-experiments all` runs the full reproduction, and
+//! `memo-experiments sweep` a custom sweep.
 //!
 //! Absolute numbers differ from the paper — the traces come from our
 //! re-implemented workloads on synthetic inputs, not Shade on SPARC
@@ -15,7 +18,7 @@
 //!
 //! Full-size runs stream hundreds of millions of operations. [`ExpConfig`]
 //! controls the problem sizes: `ExpConfig::default()` (image scale 4,
-//! grid 32) keeps every binary under a minute; `MEMO_SCALE` and
+//! grid 32) keeps every word under a minute; `MEMO_SCALE` and
 //! `MEMO_SCI_N` environment variables override.
 
 #![warn(missing_docs)]

@@ -32,7 +32,14 @@ use memo_workloads::{mm, sci};
 use crate::error::ExperimentError;
 use crate::fault_tolerance::faulty_bank;
 use crate::format::{frac3, TextTable};
-use crate::{env, parallel, ExpConfig};
+use crate::{parallel, ExpConfig};
+
+/// Longest pure instruction run one region may cover; longer runs are
+/// chunked.
+const MAX_LEN: usize = 16;
+
+/// Region-table entries in the survey and the rendered report.
+const TABLE_ENTRIES: usize = 64;
 
 /// Dynamic-instruction budget per proxy run (far above any proxy's need).
 const FUEL: u64 = 50_000_000;
@@ -178,7 +185,7 @@ pub struct KernelRegions {
     pub unit_speedup: f64,
 }
 
-fn survey_one(proxy: &Proxy, max_len: usize, entries: usize) -> Result<KernelRegions, ExperimentError> {
+fn survey_one(proxy: &Proxy) -> Result<KernelRegions, ExperimentError> {
     // The per-unit machine: one plain run through a CycleAccountant with
     // the paper's slow-latency model and unprotected memo bank.
     let mut acc = CycleAccountant::new(
@@ -193,9 +200,9 @@ fn survey_one(proxy: &Proxy, max_len: usize, entries: usize) -> Result<KernelReg
     let unit_speedup = report.speedup_measured();
 
     // The region machine: identical initial state, identical stream.
-    let index = RegionIndex::new(&proxy.program, max_len);
-    let mut table =
-        RegionTable::new(RegionConfig::new(entries)).expect("entries are a power of two >= 8");
+    let index = RegionIndex::new(&proxy.program, MAX_LEN);
+    let mut table = RegionTable::new(RegionConfig::new(TABLE_ENTRIES))
+        .expect("entries are a power of two >= 8");
     let mut memoized = proxy.fresh_cpu();
     let (_, stats) = run_with_regions(
         &mut memoized,
@@ -220,18 +227,14 @@ fn survey_one(proxy: &Proxy, max_len: usize, entries: usize) -> Result<KernelReg
     })
 }
 
-/// Measure every kernel at the env-knob region table (also verifying
+/// Measure every kernel at the default region table (also verifying
 /// state transparency along the way).
 ///
 /// # Errors
 ///
 /// [`ExperimentError::Transparency`] if any proxy's final state diverges.
 pub fn survey(cfg: ExpConfig) -> Result<Vec<KernelRegions>, ExperimentError> {
-    let max_len = env::region_max_len();
-    let entries = env::region_table_entries();
-    parallel::par_map(proxies(cfg), move |p| survey_one(&p, max_len, entries))
-        .into_iter()
-        .collect()
+    parallel::par_map(proxies(cfg), |p| survey_one(&p)).into_iter().collect()
 }
 
 /// What the differential checker proved.
@@ -267,7 +270,6 @@ fn checker_grid() -> Vec<(usize, Assoc, Protection)> {
 /// [`ExperimentError::Transparency`] naming the first diverging kernel
 /// and configuration.
 pub fn check_transparency(cfg: ExpConfig) -> Result<RegionTransparency, ExperimentError> {
-    let max_len = env::region_max_len();
     let grid = checker_grid();
     let configs = grid.len();
     let all = proxies(cfg);
@@ -275,7 +277,7 @@ pub fn check_transparency(cfg: ExpConfig) -> Result<RegionTransparency, Experime
     parallel::par_map(all, move |proxy| -> Result<(), ExperimentError> {
         let mut plain = proxy.fresh_cpu();
         plain.run(&proxy.program, &mut NullSink, FUEL).map_err(|e| isa_error(proxy.name, e))?;
-        let index = RegionIndex::new(&proxy.program, max_len);
+        let index = RegionIndex::new(&proxy.program, MAX_LEN);
         for &(entries, assoc, protection) in &grid {
             let mut table = RegionTable::new(
                 RegionConfig::new(entries).assoc(assoc).protection(protection),
@@ -323,7 +325,6 @@ pub struct FaultDemoRow {
 /// `Protection::None` is expected to corrupt silently.
 #[must_use]
 pub fn fault_demo(cfg: ExpConfig) -> Vec<FaultDemoRow> {
-    let max_len = env::region_max_len();
     let p = proxies(cfg).into_iter().next().expect("at least one proxy");
     let mut plain = p.fresh_cpu();
     plain.run(&p.program, &mut NullSink, FUEL).expect("proxy halts");
@@ -341,7 +342,7 @@ pub fn fault_demo(cfg: ExpConfig) -> Vec<FaultDemoRow> {
             // by an unprotected table can steer the program anywhere —
             // even into a memory fault — so a failed run is just another
             // (extreme) form of lost transparency, not a harness error.
-            let index = RegionIndex::new(&p.program, max_len);
+            let index = RegionIndex::new(&p.program, MAX_LEN);
             let mut memoized = p.fresh_cpu();
             let mut ran = Ok(());
             for pass in 0..2 {
@@ -397,13 +398,11 @@ pub fn render(cfg: ExpConfig) -> Result<String, ExperimentError> {
     let rows = survey(cfg)?;
     let proof = check_transparency(cfg)?;
     let demo = fault_demo(cfg);
-    let entries = env::region_table_entries();
-    let max_len = env::region_max_len();
 
     let mut out = String::new();
     out.push_str(&format!(
         "Region memoization: basic-block bypass keyed on (entry pc, live-in values)\n\
-         Region table: {entries} entries, 4-way LRU, regions up to {max_len} instructions.\n\
+         Region table: {TABLE_ENTRIES} entries, 4-way LRU, regions up to {MAX_LEN} instructions.\n\
          Each kernel runs as an ISA-level proxy (load -> pure arithmetic chain -> store);\n\
          MM inputs are quantized to 4-16 pixel levels, sci inputs are effectively unique,\n\
          so region reuse tracks the value locality the paper measured per unit.\n\

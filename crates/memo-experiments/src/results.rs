@@ -4,7 +4,7 @@
 //! shared recording; this cache goes one level up and makes every
 //! *experiment* compute once per `(experiment, ExpConfig)` pair. The
 //! scorecard re-derives Tables 5–13 and Figures 2–4 to check the paper's
-//! claims — inside one `all_experiments` process those tables were already
+//! claims — inside one `memo-experiments all` process those tables were already
 //! computed minutes earlier, and Tables 11–13 all reduce to the same
 //! eighteen cycle reports. With this cache the re-derivations are clones,
 //! not recomputations.

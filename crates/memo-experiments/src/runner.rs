@@ -1,11 +1,11 @@
 //! Public runner entry points: every paper artifact behind one function.
 //!
-//! The table/figure binaries, the `all_experiments` driver, and the
-//! `memo-serve` HTTP endpoints all need the same thing — "give me the
-//! rendered bytes of table *n* / figure *n* / this sweep" — and they must
-//! agree byte-for-byte (the serve end-to-end test asserts it). This
-//! module is that single source: [`table`], [`figure`], [`sweep`], and
-//! the [`experiments`] registry the full-reproduction driver iterates.
+//! The `memo-experiments` command, its `all` word, and the `memo-serve`
+//! HTTP endpoints all need the same thing — "give me the rendered bytes
+//! of table *n* / figure *n* / this sweep" — and they must agree
+//! byte-for-byte (the serve end-to-end test asserts it). This module is
+//! that single source: [`table`], [`figure`], [`sweep`], [`region`], and
+//! [`ARTIFACTS`], the one table of the reproduction's artifacts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -18,8 +18,8 @@ use crate::{
     suites, summary, table1, trivial, ExpConfig, ExperimentError,
 };
 
-/// Render table `n` (1–13) exactly as its standalone binary prints it
-/// (without the trailing newline `println!` appends).
+/// Render table `n` (1–13) exactly as `memo-experiments table<n>` prints
+/// it (without the trailing newline `println!` appends).
 ///
 /// # Errors
 ///
@@ -59,7 +59,7 @@ pub fn table(n: usize, cfg: ExpConfig) -> Result<String, ExperimentError> {
     }
 }
 
-/// Render figure `n` (2–4) exactly as its standalone binary prints it.
+/// Render figure `n` (2–4) exactly as `memo-experiments fig<n>` prints it.
 ///
 /// # Errors
 ///
@@ -94,6 +94,12 @@ pub struct SweepQuery {
     pub ways: Vec<Assoc>,
 }
 
+/// The largest entry count a sweep may ask for: 2^16, eight times the
+/// paper's largest table. A table allocates its slots up front, so one
+/// `?entries=1099511627776` would otherwise ask for a terabyte and abort
+/// the process — an abort no catch barrier stops.
+pub const MAX_SWEEP_ENTRIES: usize = 1 << 16;
+
 impl Default for SweepQuery {
     fn default() -> Self {
         SweepQuery { entries: vec![32], ways: vec![Assoc::Ways(4)] }
@@ -107,18 +113,23 @@ impl SweepQuery {
     ///
     /// # Errors
     ///
-    /// [`ExperimentError::InvalidSweep`] on unparsable values, empty
-    /// lists, or two multi-value axes at once.
+    /// [`ExperimentError::InvalidSweep`] on unparsable values, entry
+    /// counts above [`MAX_SWEEP_ENTRIES`], empty lists, or two
+    /// multi-value axes at once.
     pub fn parse(entries: Option<&str>, ways: Option<&str>) -> Result<Self, ExperimentError> {
         let bad = |what: &str, v: &str| {
             ExperimentError::InvalidSweep(format!("bad {what} value {v:?}"))
         };
+        let entry = |v: &str| match v.trim().parse::<usize>() {
+            Ok(e) if e <= MAX_SWEEP_ENTRIES => Ok(e),
+            Ok(_) => Err(ExperimentError::InvalidSweep(format!(
+                "entries value {v:?} is above {MAX_SWEEP_ENTRIES}"
+            ))),
+            Err(_) => Err(bad("entries", v)),
+        };
         let mut q = SweepQuery::default();
         if let Some(list) = entries {
-            q.entries = list
-                .split(',')
-                .map(|v| v.trim().parse::<usize>().map_err(|_| bad("entries", v)))
-                .collect::<Result<_, _>>()?;
+            q.entries = list.split(',').map(entry).collect::<Result<_, _>>()?;
         }
         if let Some(list) = ways {
             q.ways = list
@@ -216,38 +227,74 @@ pub fn region(cfg: ExpConfig) -> Result<String, ExperimentError> {
     regions::render(cfg)
 }
 
-/// One experiment runner: a name and a render function.
+/// One experiment runner: a config in, the rendered artifact out.
 pub type Runner = fn(ExpConfig) -> Result<String, ExperimentError>;
 
-/// The full-reproduction registry, in paper order. `all_experiments`
-/// iterates it; the scorecard entry uses [`summary::render_strict`] so a
-/// failing claim fails the run.
+/// One artifact of the reproduction.
+#[derive(Debug, Clone, Copy)]
+pub struct Artifact {
+    /// The registry name (`"table 5"`): the `all` summary prints it and
+    /// the benchmark's `experiments.<slug>_s` metrics key on it.
+    pub name: &'static str,
+    /// The `memo-experiments` word (`table5`), also the stem of the
+    /// committed `docs/outputs/<cli>.txt`.
+    pub cli: &'static str,
+    /// The usage line for the word.
+    pub about: &'static str,
+    /// The render; `memo-experiments <cli>` prints it plus a newline.
+    pub render: Runner,
+}
+
+/// An [`ARTIFACTS`] row: `(name, cli, about, render)`.
+const fn row(
+    name: &'static str,
+    cli: &'static str,
+    about: &'static str,
+    render: Runner,
+) -> Artifact {
+    Artifact { name, cli, about, render }
+}
+
+/// The reproduction's artifacts, in paper order. The command's words,
+/// `all`, [`experiments`] and `docs/outputs` all follow this table; the
+/// scorecard row uses [`summary::render_strict`] so a failing claim
+/// fails the run.
+pub const ARTIFACTS: [Artifact; 20] = [
+    row("table 1", "table1", "Table 1: processor cycle times", |cfg| table(1, cfg)),
+    row("tables 2-4", "table2_3_4", "Tables 2-4: benchmark-suite inventories", |cfg| {
+        Ok(format!("{}\n{}\n{}", table(2, cfg)?, table(3, cfg)?, table(4, cfg)?))
+    }),
+    row("table 5", "table5", "Table 5: Perfect-suite hit ratios", |cfg| table(5, cfg)),
+    row("table 6", "table6", "Table 6: SPEC CFP95 hit ratios", |cfg| table(6, cfg)),
+    row("table 7", "table7", "Table 7: multi-media hit ratios", |cfg| table(7, cfg)),
+    row("table 8", "table8", "Table 8: image entropy, per-image hit ratios", |cfg| table(8, cfg)),
+    row("table 9", "table9", "Table 9: trivial-operation policies", |cfg| table(9, cfg)),
+    row("table 10", "table10", "Table 10: mantissa-only vs full-value tags", |cfg| table(10, cfg)),
+    row("table 11", "table11", "Table 11: fp-division memoization speedups", |cfg| table(11, cfg)),
+    row("table 12", "table12", "Table 12: fp-multiplication speedups", |cfg| table(12, cfg)),
+    row("table 13", "table13", "Table 13: combined memoization speedups", |cfg| table(13, cfg)),
+    row("figure 2", "fig2", "Figure 2: hit ratio vs entropy, LM best fit", |cfg| figure(2, cfg)),
+    row("figure 3", "fig3", "Figure 3: hit ratio vs LUT size", |cfg| figure(3, cfg)),
+    row("figure 4", "fig4", "Figure 4: hit ratio vs associativity", |cfg| figure(4, cfg)),
+    row("ablations", "ablations", "ablations: hash, replacement, sharing", ablations::render),
+    row("related work", "related_work", "MEMO-TABLEs vs related division schemes", related::render),
+    row("future work", "future_work", "sqrt memoization, pipeline-hazard model", extension::render),
+    row("fault tolerance", "fault_tolerance", "soft-error robustness", fault_tolerance::render),
+    row("regions", "regions", "region memoization of basic blocks", regions::render),
+    row("scorecard", "scorecard", "live claim check, exit 1 on a failure", summary::render_strict),
+];
+
+/// The [`ARTIFACTS`] row whose word is `cli`.
+#[must_use]
+pub fn artifact(cli: &str) -> Option<&'static Artifact> {
+    ARTIFACTS.iter().find(|a| a.cli == cli)
+}
+
+/// The full-reproduction registry: [`ARTIFACTS`] as `(name, render)`
+/// pairs, the shape [`run_registry`] takes.
 #[must_use]
 pub fn experiments() -> Vec<(&'static str, Runner)> {
-    vec![
-        ("table 1", |cfg| table(1, cfg)),
-        ("tables 2-4", |cfg| {
-            Ok(format!("{}\n{}\n{}", table(2, cfg)?, table(3, cfg)?, table(4, cfg)?))
-        }),
-        ("table 5", |cfg| table(5, cfg)),
-        ("table 6", |cfg| table(6, cfg)),
-        ("table 7", |cfg| table(7, cfg)),
-        ("table 8", |cfg| table(8, cfg)),
-        ("table 9", |cfg| table(9, cfg)),
-        ("table 10", |cfg| table(10, cfg)),
-        ("table 11", |cfg| table(11, cfg)),
-        ("table 12", |cfg| table(12, cfg)),
-        ("table 13", |cfg| table(13, cfg)),
-        ("figure 2", |cfg| figure(2, cfg)),
-        ("figure 3", |cfg| figure(3, cfg)),
-        ("figure 4", |cfg| figure(4, cfg)),
-        ("ablations", ablations::render),
-        ("related work", related::render),
-        ("future work", extension::render),
-        ("fault tolerance", fault_tolerance::render),
-        ("regions", regions::render),
-        ("scorecard", summary::render_strict),
-    ]
+    ARTIFACTS.iter().map(|a| (a.name, a.render)).collect()
 }
 
 /// One registry entry's outcome.
@@ -323,7 +370,7 @@ mod tests {
 
     #[test]
     fn table_matches_module_render() {
-        // The registry and the standalone binaries share these calls; a
+        // The command line and the HTTP routes share these calls; a
         // drift here would silently fork the HTTP bytes from the CLI.
         let cfg = ExpConfig::quick();
         assert_eq!(table(1, cfg).unwrap(), table1::render());
@@ -346,6 +393,13 @@ mod tests {
         assert!(SweepQuery::parse(Some("8,x"), None).is_err());
         assert!(SweepQuery::parse(Some("8,16"), Some("2,4")).is_err());
         assert!(SweepQuery::parse(Some(""), None).is_err());
+    }
+
+    #[test]
+    fn sweep_entries_are_capped_at_65536() {
+        assert_eq!(SweepQuery::parse(Some("65536"), None).unwrap().entries, vec![65_536]);
+        let err = SweepQuery::parse(Some("8,131072"), None).unwrap_err();
+        assert!(matches!(err, ExperimentError::InvalidSweep(_)), "{err:?}");
     }
 
     #[test]

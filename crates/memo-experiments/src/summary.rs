@@ -188,7 +188,7 @@ pub fn render(cfg: ExpConfig) -> Result<String, ExperimentError> {
 }
 
 /// [`render`], but failing claims are an error: prints nothing less, yet
-/// lets `all_experiments` (and CI behind it) exit nonzero on a partial
+/// lets `memo-experiments all` (and CI behind it) exit nonzero on a partial
 /// failure instead of reporting PASS around a `FAILS` verdict.
 ///
 /// # Errors

@@ -22,10 +22,10 @@
 //! Endpoints: `GET /healthz`, `GET /metrics`, `GET /v1/table/{1..13}`,
 //! `GET /v1/figure/{2..4}`, `GET /v1/sweep?entries=..&ways=..`,
 //! `GET /v1/region` (the region-memoization family), and
-//! `GET /quitquitquit` (graceful drain). Artifact bodies are the CLI
-//! binaries' stdout bytes — same renderer, plus the trailing newline.
-//! The artifact families live in one registry (`routes::FAMILIES`), so
-//! adding an endpoint is one table row, not a parser edit.
+//! `GET /quitquitquit` (graceful drain). Artifact bodies are the
+//! `memo-experiments` command's stdout bytes — same renderer, plus the
+//! trailing newline. One resolver in [`routes`] maps each artifact URL
+//! to its cache key and its render.
 
 pub mod hist;
 pub mod http;

@@ -1,16 +1,19 @@
 //! Request routing and the server-side result cache.
 //!
-//! Every artifact endpoint resolves through the same
-//! `memo_experiments::runner` entry points the CLI binaries use, so the
-//! HTTP bytes are the CLI bytes plus a trailing newline (the binaries
-//! `println!`). Results are cached in a [`ShardedLru`] keyed by the
-//! canonical `(experiment, config)` string, with single-flight dedup so
+//! Every artifact URL resolves, in one pass ([`cache_key`] and the route
+//! share it), to a canonical key and a call into the same
+//! `memo_experiments::runner` entry points the `memo-experiments`
+//! command uses, so the HTTP bytes are the CLI bytes plus a trailing
+//! newline (the command `println!`s). Results are cached in a
+//! [`ShardedLru`] keyed by the canonical `(experiment, config)` string,
+//! with single-flight dedup so
 //! a thundering herd on a cold table computes it exactly once. With a
 //! persistent store attached (`--store-dir`), a memory miss consults the
 //! store before computing, and successful renders are written through —
 //! a restarted server answers from disk (`x-memo-cache: disk`) without
 //! re-running any experiment.
 
+use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -100,46 +103,91 @@ fn effective_cfg(base: ExpConfig, req: &Request) -> ExpConfig {
     cfg
 }
 
-fn cfg_suffix(cfg: ExpConfig) -> String {
-    format!("@scale={};sci_n={}", cfg.image_scale, cfg.sci_n)
+/// The runner call behind a resolved artifact request.
+enum Render {
+    Table(usize),
+    Figure(usize),
+    Sweep(runner::SweepQuery),
+    Region,
 }
 
-/// How one artifact family maps URLs to `memo_experiments::runner`
-/// entry points.
-enum FamilyKind {
-    /// `/v1/{kind}/{n}` — a numbered artifact within the family.
-    Numbered(fn(usize, ExpConfig) -> Result<String, ExperimentError>),
-    /// `/v1/{kind}` — the family renders as one whole artifact.
-    Whole(fn(ExpConfig) -> Result<String, ExperimentError>),
-    /// `/v1/{kind}?entries=..&ways=..` — axes canonicalized into the key.
-    Swept,
+impl Render {
+    /// Render into the `(status, body)` a cache entry holds. Bodies get
+    /// the trailing newline the CLI's `println!` adds, so HTTP bytes ==
+    /// CLI stdout bytes.
+    fn run(&self, cfg: ExpConfig) -> (u16, String) {
+        let result = match self {
+            Render::Table(n) => runner::table(*n, cfg),
+            Render::Figure(n) => runner::figure(*n, cfg),
+            Render::Sweep(q) => runner::sweep(cfg, q),
+            Render::Region => runner::region(cfg),
+        };
+        match result {
+            Ok(body) => (200, format!("{body}\n")),
+            Err(err) => error_response(&err),
+        }
+    }
 }
 
-/// One artifact family the server knows how to route and cache.
-struct Family {
-    /// URL segment and cache-key prefix (`/v1/{kind}`, `{kind}/…`).
-    kind: &'static str,
-    /// Metrics class this family's requests roll up under.
+/// The family's part of the cache key: `table/5`, `figure/2`,
+/// `sweep/entries=8,16;ways=4` (the query canonicalized, so
+/// `?ways=4&entries=8,16` and `?entries=8,16` share a render) or `region`.
+impl fmt::Display for Render {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Render::Table(n) => write!(f, "table/{n}"),
+            Render::Figure(n) => write!(f, "figure/{n}"),
+            Render::Sweep(q) => write!(f, "sweep/{}", q.canonical()),
+            Render::Region => f.write_str("region"),
+        }
+    }
+}
+
+/// An artifact request, resolved.
+struct Resolved {
+    /// The canonical cache key (see [`cache_key`]).
+    key: String,
+    /// Metrics class the request rolls up under.
     endpoint: Endpoint,
-    /// How requests resolve to a runner call.
-    run: FamilyKind,
+    /// The base config with the request's overrides.
+    cfg: ExpConfig,
+    render: Render,
 }
 
-/// The endpoint → experiment registry. `cache_key` and the route
-/// dispatch both iterate this table, so adding a family is one row
-/// here — the URL, the canonical key shape, the metrics label, and the
-/// cluster router's ring placement (which reuses `cache_key`) all
-/// follow.
-const FAMILIES: [Family; 4] = [
-    Family { kind: "table", endpoint: Endpoint::Table, run: FamilyKind::Numbered(runner::table) },
-    Family { kind: "figure", endpoint: Endpoint::Figure, run: FamilyKind::Numbered(runner::figure) },
-    Family { kind: "sweep", endpoint: Endpoint::Sweep, run: FamilyKind::Swept },
-    Family { kind: "region", endpoint: Endpoint::Region, run: FamilyKind::Whole(runner::region) },
-];
+/// Map an artifact URL to its cache key and render. `None` when the path
+/// names no artifact family (health, metrics, unknown routes); an error
+/// `(endpoint, status, body)` when a family's parameter is bad: a
+/// non-integer table or figure number is 404, an unparseable sweep 400.
+fn resolve(base: ExpConfig, req: &Request) -> Option<Result<Resolved, (Endpoint, u16, String)>> {
+    let path = req.path.as_str();
+    let number = |kind: &str, raw: &str| {
+        raw.parse::<usize>()
+            .map_err(|_| (404, format!("{kind} number must be an integer, got {raw:?}\n")))
+    };
+    let (endpoint, render) = if let Some(raw) = path.strip_prefix("/v1/table/") {
+        (Endpoint::Table, number("table", raw).map(Render::Table))
+    } else if let Some(raw) = path.strip_prefix("/v1/figure/") {
+        (Endpoint::Figure, number("figure", raw).map(Render::Figure))
+    } else if path == "/v1/sweep" {
+        let query = runner::SweepQuery::parse(req.query_param("entries"), req.query_param("ways"));
+        (Endpoint::Sweep, query.map(Render::Sweep).map_err(|err| error_response(&err)))
+    } else if path == "/v1/region" {
+        (Endpoint::Region, Ok(Render::Region))
+    } else {
+        return None;
+    };
+    let render = match render {
+        Ok(render) => render,
+        Err((status, body)) => return Some(Err((endpoint, status, body))),
+    };
+    let cfg = effective_cfg(base, req);
+    let key = format!("{render}@scale={};sci_n={}", cfg.image_scale, cfg.sci_n);
+    Some(Ok(Resolved { key, endpoint, cfg, render }))
+}
 
 /// The canonical cache key for an artifact request, or `None` when the
 /// request does not address a cacheable artifact (health, metrics,
-/// unknown routes, unparseable sweep axes).
+/// unknown routes, unparseable numbers or sweep axes).
 ///
 /// This is THE key: the node's in-memory cache, its store write-through,
 /// the replica-warm endpoint, and the cluster router's consistent-hash
@@ -147,33 +195,7 @@ const FAMILIES: [Family; 4] = [
 /// position no matter which tier computes it.
 #[must_use]
 pub fn cache_key(base: ExpConfig, req: &Request) -> Option<String> {
-    let cfg = effective_cfg(base, req);
-    for fam in &FAMILIES {
-        match fam.run {
-            FamilyKind::Numbered(_) => {
-                if let Some(raw_n) = req.path.strip_prefix(&format!("/v1/{}/", fam.kind)) {
-                    let n: usize = raw_n.parse().ok()?;
-                    return Some(format!("{}/{n}{}", fam.kind, cfg_suffix(cfg)));
-                }
-            }
-            FamilyKind::Whole(_) => {
-                if req.path == format!("/v1/{}", fam.kind) {
-                    return Some(format!("{}{}", fam.kind, cfg_suffix(cfg)));
-                }
-            }
-            FamilyKind::Swept => {
-                if req.path == format!("/v1/{}", fam.kind) {
-                    let q = runner::SweepQuery::parse(
-                        req.query_param("entries"),
-                        req.query_param("ways"),
-                    )
-                    .ok()?;
-                    return Some(format!("{}/{}{}", fam.kind, q.canonical(), cfg_suffix(cfg)));
-                }
-            }
-        }
-    }
-    None
+    resolve(base, req)?.ok().map(|r| r.key)
 }
 
 fn error_response(err: &ExperimentError) -> (u16, String) {
@@ -183,16 +205,6 @@ fn error_response(err: &ExperimentError) -> (u16, String) {
         _ => 500,
     };
     (status, format!("{err}\n"))
-}
-
-/// Adapt a runner result into the `(status, body)` a cache entry holds.
-/// Bodies get the trailing newline the CLI's `println!` adds, so HTTP
-/// bytes == CLI stdout bytes.
-fn rendered(result: Result<String, ExperimentError>) -> (u16, String) {
-    match result {
-        Ok(body) => (200, format!("{body}\n")),
-        Err(err) => error_response(&err),
-    }
 }
 
 /// The store key a rendered artifact persists under.
@@ -356,32 +368,25 @@ fn route(state: &AppState, req: &Request, queue_depth: usize) -> Routed {
             state.start_drain();
             routed(Response::text(200, "draining\n"), Endpoint::Other, CacheOutcome::Uncached)
         }
-        path => {
-            for fam in &FAMILIES {
-                match fam.run {
-                    FamilyKind::Numbered(run) => {
-                        if let Some(n) = path.strip_prefix(&format!("/v1/{}/", fam.kind)) {
-                            return artifact(state, req, deadline, fam.endpoint, fam.kind, n, run);
-                        }
-                    }
-                    FamilyKind::Whole(run) => {
-                        if path == format!("/v1/{}", fam.kind) {
-                            return whole_artifact(state, req, deadline, fam.endpoint, fam.kind, run);
-                        }
-                    }
-                    FamilyKind::Swept => {
-                        if path == format!("/v1/{}", fam.kind) {
-                            return swept_artifact(state, req, deadline, fam.endpoint, fam.kind);
-                        }
-                    }
-                }
-            }
-            routed(
+        path => match resolve(state.cfg, req) {
+            None => routed(
                 Response::text(404, format!("no route for {path}\n")),
                 Endpoint::Other,
                 CacheOutcome::Uncached,
-            )
-        }
+            ),
+            Some(Err((endpoint, status, body))) => {
+                routed(Response::text(status, body), endpoint, CacheOutcome::Uncached)
+            }
+            Some(Ok(Resolved { key, endpoint, cfg, render })) => {
+                let (status, body, outcome) =
+                    cached_artifact(state, key, deadline, || render.run(cfg));
+                routed(
+                    Response::text(status, body).with_header("x-memo-cache", cache_label(outcome)),
+                    endpoint,
+                    outcome,
+                )
+            }
+        },
     }
 }
 
@@ -394,26 +399,15 @@ fn route(state: &AppState, req: &Request, queue_depth: usize) -> Routed {
 /// and a key the node already holds is left untouched (the resident
 /// bytes win; they were rendered or repaired earlier).
 fn warm(state: &AppState, req: &Request, deadline: Instant) -> Routed {
+    let reject = |why| routed(Response::text(400, why), Endpoint::Other, CacheOutcome::Uncached);
     let Some(key) = req.query_param("key").map(str::to_string).filter(|k| !k.is_empty()) else {
-        return routed(
-            Response::text(400, "warm requires a non-empty ?key= parameter\n"),
-            Endpoint::Other,
-            CacheOutcome::Uncached,
-        );
+        return reject("warm requires a non-empty ?key= parameter\n");
     };
     let Ok(body) = String::from_utf8(req.body.clone()) else {
-        return routed(
-            Response::text(400, "warm body must be UTF-8\n"),
-            Endpoint::Other,
-            CacheOutcome::Uncached,
-        );
+        return reject("warm body must be UTF-8\n");
     };
     if body.is_empty() {
-        return routed(
-            Response::text(400, "warm requires a non-empty body\n"),
-            Endpoint::Other,
-            CacheOutcome::Uncached,
-        );
+        return reject("warm requires a non-empty body\n");
     }
     if state.cache.peek(&key).is_some() {
         return routed(
@@ -446,80 +440,6 @@ fn cache_label(outcome: CacheOutcome) -> &'static str {
         CacheOutcome::Hit => "hit",
         CacheOutcome::Disk => "disk",
         _ => "miss",
-    }
-}
-
-fn artifact(
-    state: &AppState,
-    req: &Request,
-    deadline: Instant,
-    endpoint: Endpoint,
-    kind: &'static str,
-    raw_n: &str,
-    run: fn(usize, ExpConfig) -> Result<String, ExperimentError>,
-) -> Routed {
-    let Ok(n) = raw_n.parse::<usize>() else {
-        return routed(
-            Response::text(404, format!("{kind} number must be an integer, got {raw_n:?}\n")),
-            endpoint,
-            CacheOutcome::Uncached,
-        );
-    };
-    let cfg = effective_cfg(state.cfg, req);
-    let key = format!("{kind}/{n}{}", cfg_suffix(cfg));
-    let (status, body, outcome) = cached_artifact(state, key, deadline, || rendered(run(n, cfg)));
-    routed(
-        Response::text(status, body).with_header("x-memo-cache", cache_label(outcome)),
-        endpoint,
-        outcome,
-    )
-}
-
-/// A whole-family artifact (`FamilyKind::Whole`): one render per
-/// config, keyed `{kind}@scale=..;sci_n=..`.
-fn whole_artifact(
-    state: &AppState,
-    req: &Request,
-    deadline: Instant,
-    endpoint: Endpoint,
-    kind: &'static str,
-    run: fn(ExpConfig) -> Result<String, ExperimentError>,
-) -> Routed {
-    let cfg = effective_cfg(state.cfg, req);
-    let key = format!("{kind}{}", cfg_suffix(cfg));
-    let (status, body, outcome) = cached_artifact(state, key, deadline, || rendered(run(cfg)));
-    routed(
-        Response::text(status, body).with_header("x-memo-cache", cache_label(outcome)),
-        endpoint,
-        outcome,
-    )
-}
-
-/// The swept family (`FamilyKind::Swept`): axes parse and canonicalize
-/// into the key, so `entries=16,8` and `entries=8,16` share a render.
-fn swept_artifact(
-    state: &AppState,
-    req: &Request,
-    deadline: Instant,
-    endpoint: Endpoint,
-    kind: &'static str,
-) -> Routed {
-    let cfg = effective_cfg(state.cfg, req);
-    match runner::SweepQuery::parse(req.query_param("entries"), req.query_param("ways")) {
-        Err(err) => {
-            let (status, body) = error_response(&err);
-            routed(Response::text(status, body), endpoint, CacheOutcome::Uncached)
-        }
-        Ok(q) => {
-            let key = format!("{kind}/{}{}", q.canonical(), cfg_suffix(cfg));
-            let (status, body, outcome) =
-                cached_artifact(state, key, deadline, || rendered(runner::sweep(cfg, &q)));
-            routed(
-                Response::text(status, body).with_header("x-memo-cache", cache_label(outcome)),
-                endpoint,
-                outcome,
-            )
-        }
     }
 }
 
@@ -750,6 +670,53 @@ mod tests {
         assert_eq!(cache_key(cfg, &get("/v1/table/abc")), None);
         assert_eq!(cache_key(cfg, &get("/v1/sweep?entries=nope")), None);
         assert_eq!(cache_key(cfg, &get("/v1/region/1")), None);
+    }
+
+    #[test]
+    fn every_render_is_cached_under_exactly_its_cache_key() {
+        let s = state();
+        // Overrides (one clamped), an out-of-range table (a cached 404),
+        // the same sweep with its axes reordered, and the region.
+        let artifacts = [
+            "/v1/table/1?scale=12",
+            "/v1/table/2?sci_n=24&scale=999",
+            "/v1/table/99",
+            "/v1/figure/3?sci_n=24",
+            "/v1/sweep?entries=8,16&ways=2",
+            "/v1/sweep?ways=2&entries=8,16",
+            "/v1/region",
+        ];
+        let mut keys = std::collections::HashSet::new();
+        for path in artifacts {
+            let req = get(path);
+            let r = handle(&s, &req, 0);
+            let key = cache_key(s.cfg, &req).unwrap_or_else(|| panic!("{path} has no key"));
+            let entry = s.cache.peek(&key).unwrap_or_else(|| panic!("{path} not under {key}"));
+            let body = String::from_utf8(r.response.body).unwrap();
+            assert_eq!(*entry, (r.response.status, body), "{path}");
+            keys.insert(key);
+        }
+        // The two sweeps share one key, and nothing else was cached.
+        assert_eq!(keys.len(), artifacts.len() - 1);
+        assert_eq!(s.cache.len(), keys.len());
+
+        // No key and nothing cached: bad numbers (404), bad sweeps (400;
+        // a terabyte of table slots must be refused, not allocated — an
+        // allocation failure aborts the whole server), and non-artifacts.
+        let no_key = [
+            ("/v1/figure/2.5", 404),
+            ("/v1/sweep?entries=nope", 400),
+            ("/v1/sweep?entries=8,16&ways=2,4", 400),
+            ("/v1/sweep?entries=1099511627776", 400),
+            ("/v1/region/1", 404),
+            ("/healthz", 200),
+        ];
+        for (path, status) in no_key {
+            let req = get(path);
+            assert_eq!(handle(&s, &req, 0).response.status, status, "{path}");
+            assert_eq!(cache_key(s.cfg, &req), None, "{path}");
+        }
+        assert_eq!(s.cache.len(), keys.len());
     }
 
     #[test]

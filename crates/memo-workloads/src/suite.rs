@@ -237,7 +237,7 @@ pub fn replay_stats<'a>(
 }
 
 // Process-wide accounting of how sweep points were evaluated, surfaced in
-// the `all_experiments` summary so the fused-pass win is visible in CI.
+// the `memo-experiments all` summary so the fused-pass win is visible in CI.
 static GRIDS_FUSED: AtomicU64 = AtomicU64::new(0);
 static POINTS_FUSED: AtomicU64 = AtomicU64::new(0);
 static DIRECT_REPLAYS: AtomicU64 = AtomicU64::new(0);
