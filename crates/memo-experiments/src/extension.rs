@@ -7,7 +7,8 @@ use memo_sim::{
     compare_divider_farms, CpuModel, CycleAccountant, EventSink, FarmComparison, MemoBank,
     MemoryHierarchy, PipelineModel,
 };
-use memo_table::{MemoConfig, MemoTable, Op, OpKind};
+use memo_table::{MemoConfig, MemoTable, OpKind};
+use memo_workloads::suite::measure_mm_cycles;
 
 use crate::error::find_mm;
 use crate::figures::sample_traces;
@@ -84,32 +85,25 @@ pub fn pipeline_study(cfg: ExpConfig) -> Result<Vec<PipelineRow>, ExperimentErro
         .map(|name| find_mm(name))
         .collect::<Result<Vec<_>, _>>()?;
 
+    let corpus = traces::corpus(cfg.image_scale);
+    let inputs: Vec<&Image> = corpus.iter().map(|c| &c.image).collect();
     Ok(parallel::par_map(apps, |app| {
-        // One native run per app; all three machine models replay it.
-        let trace = traces::mm_event_trace(cfg, &app);
-
-        // Latency model.
-        let mut acc = CycleAccountant::new(
-            CpuModel::paper_slow(),
-            MemoryHierarchy::typical_1997(),
-            MemoBank::paper_default(),
-        );
-        trace.replay_into(&mut acc);
-        let latency_model = acc.report().speedup_measured();
+        // Three native runs per app, one per machine model.
+        let latency_model =
+            measure_mm_cycles(&app, &inputs, CpuModel::paper_slow(), MemoBank::paper_default())
+                .speedup_measured();
 
         // Pipeline model: baseline vs memoized.
-        let mut base = PipelineModel::new(
-            CpuModel::paper_slow(),
-            MemoryHierarchy::typical_1997(),
-            MemoBank::none(),
-        );
-        trace.replay_into(&mut base);
-        let mut memo = PipelineModel::new(
-            CpuModel::paper_slow(),
-            MemoryHierarchy::typical_1997(),
-            MemoBank::paper_default(),
-        );
-        trace.replay_into(&mut memo);
+        let pipeline = |bank| {
+            let mut model =
+                PipelineModel::new(CpuModel::paper_slow(), MemoryHierarchy::typical_1997(), bank);
+            for &input in &inputs {
+                app.run(&mut model, input);
+            }
+            model
+        };
+        let base = pipeline(MemoBank::none());
+        let memo = pipeline(MemoBank::paper_default());
         let b = base.report();
         let m = memo.report();
         PipelineRow {
@@ -128,12 +122,11 @@ pub fn pipeline_study(cfg: ExpConfig) -> Result<Vec<PipelineRow>, ExperimentErro
 ///
 /// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
 pub fn divider_farm_study(cfg: ExpConfig) -> Result<FarmComparison, ExperimentError> {
-    let ops: Vec<Op> = sample_traces(cfg)?
-        .iter()
-        .flat_map(|app_traces| app_traces.iter())
-        .flat_map(|trace| trace.iter())
-        .collect();
-    Ok(compare_divider_farms(&CpuModel::paper_slow(), MemoConfig::paper_default(), &ops))
+    let traces = sample_traces(cfg)?;
+    // Streamed straight from the recordings: the farms skip everything
+    // but the divisions, so the sample's operations are never collected.
+    let ops = traces.iter().flat_map(|app_traces| app_traces.iter()).flat_map(|t| t.iter());
+    Ok(compare_divider_farms(&CpuModel::paper_slow(), MemoConfig::paper_default(), ops))
 }
 
 /// Render both future-work studies.

@@ -380,7 +380,7 @@ pub struct ProtectionSpeedup {
 /// On clean tables a policy changes *only* the per-hit cycle charge
 /// ([`Protection::hit_penalty`]) — the hit pattern itself is identical,
 /// since parity always passes, ECC never corrects, and verification
-/// always matches. One unprotected replay per application therefore
+/// always matches. One unprotected native run per application therefore
 /// yields every policy's cycle count exactly: the protected machine's
 /// total is the unprotected total plus `table hits × penalty`.
 ///
@@ -390,6 +390,7 @@ pub struct ProtectionSpeedup {
 pub fn protection_speedups(cfg: ExpConfig) -> Result<Vec<ProtectionSpeedup>, ExperimentError> {
     let apps =
         SPEEDUP_SAMPLE.iter().map(|name| find_mm(name)).collect::<Result<Vec<_>, _>>()?;
+    let corpus = traces::corpus(cfg.image_scale);
     // (baseline cycles, unprotected memoized cycles, table hits) per app.
     let measured: Vec<(u64, u64, u64)> = parallel::par_map(apps, |app| {
         let mut acc = CycleAccountant::new(
@@ -397,12 +398,11 @@ pub fn protection_speedups(cfg: ExpConfig) -> Result<Vec<ProtectionSpeedup>, Exp
             MemoryHierarchy::typical_1997(),
             faulty_bank(Protection::None, 0.0, 0),
         );
-        traces::mm_event_trace(cfg, &app).replay_into(&mut acc);
-        let hits = MEMO_KINDS
-            .iter()
-            .filter_map(|&k| acc.bank().stats(k))
-            .map(|s| s.table_hits)
-            .sum();
+        for c in corpus.iter() {
+            app.run(&mut acc, &c.image);
+        }
+        let bank = acc.bank();
+        let hits = MEMO_KINDS.iter().filter_map(|&k| bank.stats(k)).map(|s| s.table_hits).sum();
         let report = acc.report();
         (report.baseline().total(), report.memoized().total(), hits)
     });

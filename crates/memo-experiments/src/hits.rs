@@ -42,8 +42,8 @@ fn infinite_spec() -> SweepSpec {
     SweepSpec::infinite(&KINDS)
 }
 
-/// One sci row: record the kernel once; one fused pass per kind serves
-/// the finite point and the infinite column together.
+/// One sci row: record the kernel once; one replay serves the finite
+/// point and one compact counter per kind the infinite column.
 fn sci_row(cfg: ExpConfig, app: &SciApp, upper: bool) -> HitRow {
     let trace = traces::sci_trace(cfg, app);
     let both = replay_stats_fused([&*trace], &[finite_spec(), infinite_spec()]);

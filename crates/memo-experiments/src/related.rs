@@ -45,46 +45,18 @@ pub fn compare_division_schemes(
     cfg: ExpConfig,
     cpu: CpuModel,
 ) -> Result<Vec<SchemeResult>, ExperimentError> {
-    // Pool the division stream of the five sample apps, replayed from the
-    // shared recordings in app-major, corpus order.
-    let traces = sample_traces(cfg)?;
-    let divisions: Vec<_> = traces
-        .iter()
-        .flat_map(|app_traces| app_traces.iter())
-        .flat_map(|trace| trace.iter())
-        .filter(|op| op.kind() == OpKind::FpDiv)
-        .collect();
-
     let dc = f64::from(cpu.latency(OpKind::FpDiv));
     let mc = f64::from(cpu.latency(OpKind::FpMul));
-    let total = divisions.len() as f64;
 
-    // Scheme 1: trivial-only detection.
-    let trivial_hits =
-        divisions.iter().filter(|op| trivial_result(op).is_some()).count() as f64;
-    let trivial_hr = trivial_hits / total;
-    // Detected trivials complete in one cycle.
-    let trivial_se = dc / ((1.0 - trivial_hr) * dc + trivial_hr);
-
+    // Pool the division stream of the five sample apps, replayed from the
+    // shared recordings in app-major, corpus order: one streamed pass
+    // feeds every scheme, so the stream is never collected.
+    //
+    // Scheme 1, trivial-only detection, needs only the counts.
     // Scheme 2: reciprocal cache (same 32-entry 4-way budget).
     let mut recip = ReciprocalCache::new(32, 4);
-    for op in &divisions {
-        if let memo_table::Op::FpDiv(a, b) = *op {
-            let _ = recip.divide(a, b);
-        }
-    }
-    let recip_hr = recip.stats().lookup_hit_ratio();
-    // A reciprocal hit still pays the multiplier's latency.
-    let recip_se = dc / ((1.0 - recip_hr) * dc + recip_hr * mc);
-
     // Scheme 3: the MEMO-TABLE (paper default: trivials excluded).
     let mut memo = MemoTable::new(MemoConfig::paper_default());
-    for &op in &divisions {
-        memo.execute(op);
-    }
-    let memo_hr = memo.hit_ratio();
-    let memo_se = amdahl::speedup_enhanced(dc, memo_hr);
-
     // Scheme 4: MEMO-TABLE with the integrated trivial detector (the
     // paper's best configuration, Table 9 "intgr").
     let mut memo_intgr = MemoTable::new(
@@ -93,9 +65,30 @@ pub fn compare_division_schemes(
             .build()
             .expect("valid"),
     );
-    for &op in &divisions {
-        memo_intgr.execute(op);
+    let (mut total, mut trivial_hits) = (0u64, 0u64);
+    let traces = sample_traces(cfg)?;
+    for trace in traces.iter().flat_map(|app_traces| app_traces.iter()) {
+        trace.for_each_kind(OpKind::FpDiv, |op| {
+            total += 1;
+            if trivial_result(&op).is_some() {
+                trivial_hits += 1;
+            }
+            if let memo_table::Op::FpDiv(a, b) = op {
+                let _ = recip.divide(a, b);
+            }
+            memo.execute(op);
+            memo_intgr.execute(op);
+        });
     }
+
+    let trivial_hr = trivial_hits as f64 / total as f64;
+    // Detected trivials complete in one cycle.
+    let trivial_se = dc / ((1.0 - trivial_hr) * dc + trivial_hr);
+    let recip_hr = recip.stats().lookup_hit_ratio();
+    // A reciprocal hit still pays the multiplier's latency.
+    let recip_se = dc / ((1.0 - recip_hr) * dc + recip_hr * mc);
+    let memo_hr = memo.hit_ratio();
+    let memo_se = amdahl::speedup_enhanced(dc, memo_hr);
     let intgr_hr = memo_intgr.hit_ratio();
     let intgr_se = amdahl::speedup_enhanced(dc, intgr_hr);
 

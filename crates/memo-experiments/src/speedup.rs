@@ -1,8 +1,14 @@
 //! Tables 11, 12, 13 — application speedups from Amdahl's law over the
 //! cycle-accounting simulator (§3.3).
+//!
+//! Each application runs natively over the cached image corpus into a
+//! [`memo_sim::CycleAccountant`], which charges its arithmetic through
+//! the lane kernel a tile at a time: one run per (application, CPU
+//! profile), and no instruction stream is kept.
 
-use memo_sim::{CpuModel, CycleAccountant, CycleReport, MemoBank, MemoryHierarchy};
+use memo_sim::{CpuModel, CycleReport, MemoBank};
 use memo_table::{MemoConfig, OpKind};
+use memo_workloads::suite::measure_mm_cycles;
 
 use crate::error::find_mm;
 use crate::format::{frac3, ratio, TextTable};
@@ -12,7 +18,7 @@ use crate::{parallel, results, traces, ExpConfig, ExperimentError};
 pub const SPEEDUP_APPS: [&str; 9] =
     ["venhance", "vbrf", "vsqrt", "vslope", "vbpf", "vkmeans", "vspatial", "vgauss", "vgpwl"];
 
-/// The union of units any of Tables 11–13 memoizes. One replay per
+/// The union of units any of Tables 11–13 memoizes. One run per
 /// (application, CPU profile) against a bank covering the union yields
 /// every table's cells: per-kind tables are independent, so each table's
 /// subset is derived exactly ([`CycleReport::speedup_measured_for`]).
@@ -46,8 +52,8 @@ pub struct SpeedupRow {
 }
 
 /// The cycle reports of all nine applications under one CPU profile —
-/// computed once per process (cached event trace, one replay per app) and
-/// shared by Tables 11, 12, 13 and the scorecard.
+/// computed once per process (one native run per app over the cached
+/// corpus) and shared by Tables 11, 12, 13 and the scorecard.
 fn profile_reports(
     cfg: ExpConfig,
     key: &'static str,
@@ -56,15 +62,11 @@ fn profile_reports(
     results::cached(key, cfg, || {
         let apps =
             SPEEDUP_APPS.iter().map(|name| find_mm(name)).collect::<Result<Vec<_>, _>>()?;
+        let corpus = traces::corpus(cfg.image_scale);
+        let inputs: Vec<_> = corpus.iter().map(|c| &c.image).collect();
         Ok(parallel::par_map(apps, |app| {
-            let trace = traces::mm_event_trace(cfg, &app);
-            let mut acc = CycleAccountant::new(
-                cpu,
-                MemoryHierarchy::typical_1997(),
-                MemoBank::uniform(MemoConfig::paper_default(), &SPEEDUP_KINDS),
-            );
-            trace.replay_into(&mut acc);
-            acc.report()
+            let bank = MemoBank::uniform(MemoConfig::paper_default(), &SPEEDUP_KINDS);
+            measure_mm_cycles(&app, &inputs, cpu, bank)
         }))
     })
 }

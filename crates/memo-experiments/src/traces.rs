@@ -10,15 +10,20 @@
 //! experiments (Table 8, Figure 2) and corpus-level experiments (Table 7,
 //! the policy tables) share the same recordings — replaying the per-image
 //! traces in corpus order through one bank is exactly the native
-//! corpus-level stream. Cycle-accounting experiments use [`EventTrace`]s
-//! of the full instruction stream instead, since they need loads,
-//! branches, and the instruction mix.
+//! corpus-level stream.
+//!
+//! Only operand streams are cached. The cycle-accounting experiments
+//! (Tables 11–13, the protection overhead, the pipeline models) need
+//! loads, branches and the instruction mix as well; they run the kernels
+//! natively over the cached [`corpus`] into their accountants instead of
+//! keeping each application's full instruction stream, which is several
+//! times the size of its operand stream.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use memo_imaging::synth::{self, CorpusImage};
-use memo_sim::{EventTrace, OpTrace, TraceRecorderSink};
+use memo_sim::{OpTrace, TraceRecorderSink};
 use memo_workloads::mm::MmApp;
 use memo_workloads::sci::SciApp;
 use memo_workloads::suite::record_sci_trace;
@@ -61,11 +66,6 @@ fn mm_cache() -> &'static TraceCache<Arc<Vec<OpTrace>>> {
 
 fn sci_cache() -> &'static TraceCache<Arc<OpTrace>> {
     static CACHE: OnceLock<TraceCache<Arc<OpTrace>>> = OnceLock::new();
-    CACHE.get_or_init(TraceCache::new)
-}
-
-fn mm_event_cache() -> &'static TraceCache<Arc<EventTrace>> {
-    static CACHE: OnceLock<TraceCache<Arc<EventTrace>>> = OnceLock::new();
     CACHE.get_or_init(TraceCache::new)
 }
 
@@ -126,25 +126,9 @@ pub fn sci_trace(cfg: ExpConfig, app: &SciApp) -> Arc<OpTrace> {
     })
 }
 
-/// The full instruction-event stream of one MM application over the
-/// corpus — for cycle-accounting replays (Tables 11–13, protection
-/// overhead, pipeline models).
-#[must_use]
-pub fn mm_event_trace(cfg: ExpConfig, app: &MmApp) -> Arc<EventTrace> {
-    mm_event_cache().get_or_record((app.name, cfg.image_scale), || {
-        let corpus = corpus(cfg.image_scale);
-        let mut trace = EventTrace::new();
-        for c in corpus.iter() {
-            app.run(&mut trace, &c.image);
-        }
-        Arc::new(trace)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memo_sim::{MemoBank, NullSink};
     use memo_table::OpKind;
     use memo_workloads::suite::{measure_mm_app, replay_ratios, SweepSpec};
     use memo_workloads::{mm, sci};
@@ -179,19 +163,5 @@ mod tests {
         assert!(!t.is_empty());
         let total: usize = OpKind::ALL.iter().map(|&k| t.count(k)).sum();
         assert_eq!(total, t.len());
-    }
-
-    #[test]
-    fn event_trace_contains_arith_and_memory_traffic() {
-        let cfg = ExpConfig::quick();
-        let app = mm::find("vgauss").unwrap();
-        let t = mm_event_trace(cfg, &app);
-        assert!(!t.is_empty());
-        // Replay works on any sink; a probing bank sees the arith stream.
-        t.replay_into(&mut NullSink);
-        let mut probe = memo_workloads::suite::MemoProbeSink::with_bank(MemoBank::paper_default());
-        t.replay_into(&mut probe);
-        let seen = probe.bank().stats(OpKind::FpDiv).map_or(0, |s| s.ops_seen);
-        assert!(seen > 0, "vgauss divides");
     }
 }

@@ -11,8 +11,25 @@
 //! on both machines (memoing does not change the data stream), so the
 //! measured speedup isolates exactly the cycles the MEMO-TABLEs avoid —
 //! the paper's "number of superfluous cycles avoided".
+//!
+//! The accountant charges arithmetic a tile at a time, whether the events
+//! come from a kernel running natively or from a replayed trace: each
+//! kind's operands wait in a pending tile until [`MAX_BATCH_WIDTH`] of
+//! them have arrived, and the full tile goes through the bank's lane
+//! kernel ([`MemoBank::execute_batch`]) in one call. The result is the
+//! one per-op charging gives, not an approximation of it:
+//!
+//! * a [`MemoBank`] has one independent table per kind, so each table
+//!   still sees its kind's operations in recorded order;
+//! * the memory hierarchy sees only loads and stores, still in order;
+//! * every charge is a sum, and each table's hit penalty is a constant;
+//! * an armed circuit breaker still trips on the same operation, because
+//!   `execute_batch` checks it lane by lane.
+//!
+//! [`CycleAccountant::report`] and [`CycleAccountant::bank`] charge the
+//! pending tiles before they answer.
 
-use memo_table::{OpBatch, OpKind};
+use memo_table::{OpBatch, OpKind, MAX_BATCH_WIDTH};
 
 use crate::bank::MemoBank;
 use crate::cache::{CacheStats, MemoryHierarchy};
@@ -191,6 +208,11 @@ impl CycleReport {
 }
 
 /// An [`EventSink`] that charges cycles for both machines in one pass.
+///
+/// Arithmetic is charged in lane tiles (see the module docs); a memoizer
+/// that shares state across kinds — one [`memo_table::SharedMemoTable`]
+/// attached to two kinds — would see the tiles of different kinds in
+/// charge order rather than in recorded order.
 #[derive(Debug)]
 pub struct CycleAccountant {
     cpu: CpuModel,
@@ -201,6 +223,11 @@ pub struct CycleAccountant {
     mix: InstrMix,
     arith_count: [u64; 4],
     arith_single: [u64; 4],
+    /// Operand columns recorded but not yet charged, one tile per kind.
+    pending_a: [[u64; MAX_BATCH_WIDTH]; 4],
+    pending_b: [[u64; MAX_BATCH_WIDTH]; 4],
+    /// Lanes filled in each pending tile.
+    pending: [usize; 4],
 }
 
 impl CycleAccountant {
@@ -216,18 +243,25 @@ impl CycleAccountant {
             mix: InstrMix::default(),
             arith_count: [0; 4],
             arith_single: [0; 4],
+            pending_a: [[0; MAX_BATCH_WIDTH]; 4],
+            pending_b: [[0; MAX_BATCH_WIDTH]; 4],
+            pending: [0; 4],
         }
     }
 
-    /// The memo bank (e.g. to read per-table statistics mid-run).
+    /// The memo bank (e.g. to read per-table statistics mid-run), after
+    /// charging every pending tile.
     #[must_use]
-    pub fn bank(&self) -> &MemoBank {
+    pub fn bank(&mut self) -> &MemoBank {
+        self.charge_pending();
         &self.bank
     }
 
-    /// Produce the final report.
+    /// Produce the report of everything recorded so far, after charging
+    /// every pending tile.
     #[must_use]
-    pub fn report(&self) -> CycleReport {
+    pub fn report(&mut self) -> CycleReport {
+        self.charge_pending();
         CycleReport {
             cpu: self.cpu,
             baseline: self.baseline,
@@ -238,6 +272,47 @@ impl CycleAccountant {
             l1: self.memory.l1_stats(),
             l2: self.memory.l2_stats(),
         }
+    }
+
+    /// Charge every kind's pending tile.
+    fn charge_pending(&mut self) {
+        for kind in OpKind::ALL {
+            self.charge_pending_kind(kind);
+        }
+    }
+
+    /// Charge `kind`'s pending tile, if it holds any lanes.
+    fn charge_pending_kind(&mut self, kind: OpKind) {
+        let slot = kind_slot(kind);
+        let n = std::mem::take(&mut self.pending[slot]);
+        if n == 0 {
+            return;
+        }
+        // Copied out so the tile can be charged while `self` is borrowed.
+        let (a, b) = (self.pending_a[slot], self.pending_b[slot]);
+        let b = if kind == OpKind::FpSqrt { &[][..] } else { &b[..n] };
+        self.charge(&OpBatch::new(kind, &a[..n], b));
+    }
+
+    /// Charge one same-kind tile through the bank's lane kernel, then do
+    /// the per-tile cycle arithmetic — hits cost `1 + penalty`, trivials
+    /// 1, everything else full latency, exactly as per-op charging would.
+    /// The instruction mix is counted by the caller.
+    fn charge(&mut self, batch: &OpBatch<'_>) {
+        let kind = batch.kind();
+        let slot = kind_slot(kind);
+        let n = batch.len() as u64;
+        let full = u64::from(self.cpu.latency(kind));
+        self.arith_count[slot] += n;
+        self.baseline.arith[slot] += full * n;
+        let out = self.bank.execute_batch(batch);
+        let avoided = out.avoided();
+        self.arith_single[slot] += avoided;
+        // Table hits pay the protection policy's verify/correct latency on
+        // top of the single cycle; trivial results come from the detector,
+        // not the SRAM, and stay at 1.
+        let penalty = u64::from(self.bank.hit_penalty(kind));
+        self.memoized.arith[slot] += avoided + out.hits * penalty + (n - avoided) * full;
     }
 }
 
@@ -270,25 +345,14 @@ impl EventSink for CycleAccountant {
                 self.memoized.memory += c;
             }
             Event::Arith(op) => {
-                let kind = op.kind();
-                let slot = kind_slot(kind);
-                let full = u64::from(self.cpu.latency(kind));
-                self.arith_count[slot] += 1;
-                self.baseline.arith[slot] += full;
-                let executed = self.bank.execute(op);
-                if executed.outcome.avoided_computation() {
-                    self.arith_single[slot] += 1;
-                    // Table hits pay the protection policy's verify/correct
-                    // latency on top of the single cycle; trivial results
-                    // come from the detector, not the SRAM, and stay at 1.
-                    let penalty = if executed.outcome == memo_table::Outcome::Hit {
-                        u64::from(self.bank.hit_penalty(kind))
-                    } else {
-                        0
-                    };
-                    self.memoized.arith[slot] += 1 + penalty;
-                } else {
-                    self.memoized.arith[slot] += full;
+                let slot = kind_slot(op.kind());
+                let lane = self.pending[slot];
+                let (a, b) = op.operand_bits();
+                self.pending_a[slot][lane] = a;
+                self.pending_b[slot][lane] = b;
+                self.pending[slot] = lane + 1;
+                if lane + 1 == MAX_BATCH_WIDTH {
+                    self.charge_pending_kind(op.kind());
                 }
             }
         }
@@ -331,23 +395,12 @@ impl EventSink for CycleAccountant {
         }
     }
 
-    /// Batch charge for a same-kind arithmetic tile: one pass through the
-    /// bank's lane-parallel probe path, then per-run cycle arithmetic —
-    /// hits cost `1 + penalty`, trivials 1, everything else full latency,
-    /// exactly as the per-op path charges them.
+    /// Batch charge for a same-kind arithmetic tile: the kind's pending
+    /// tile first (its operations were recorded earlier), then this one.
     fn record_arith_batch(&mut self, batch: &OpBatch<'_>) {
-        let kind = batch.kind();
-        let slot = kind_slot(kind);
-        let n = batch.len() as u64;
-        self.mix.count_arith(kind, n);
-        let full = u64::from(self.cpu.latency(kind));
-        self.arith_count[slot] += n;
-        self.baseline.arith[slot] += full * n;
-        let out = self.bank.execute_batch(batch);
-        let avoided = out.avoided();
-        self.arith_single[slot] += avoided;
-        let penalty = u64::from(self.bank.hit_penalty(kind));
-        self.memoized.arith[slot] += avoided + out.hits * penalty + (n - avoided) * full;
+        self.charge_pending_kind(batch.kind());
+        self.mix.count_arith(batch.kind(), batch.len() as u64);
+        self.charge(batch);
     }
 }
 
@@ -518,7 +571,7 @@ mod tests {
 
     #[test]
     fn empty_run_reports_identity() {
-        let acc = accountant(MemoBank::paper_default());
+        let mut acc = accountant(MemoBank::paper_default());
         let r = acc.report();
         assert_eq!(r.baseline().total(), 0);
         assert_eq!(r.speedup_measured(), 1.0);

@@ -126,16 +126,19 @@ impl DividerFarm {
 }
 
 /// Replay `divisions` through the three §2.3 machine configurations.
+///
+/// Operations of other kinds are skipped, so a mixed stream can be
+/// streamed straight from its recording without collecting it first.
 #[must_use]
 pub fn compare_divider_farms(
     cpu: &CpuModel,
     table: MemoConfig,
-    divisions: &[Op],
+    divisions: impl IntoIterator<Item = Op>,
 ) -> FarmComparison {
     let mut single = DividerFarm::new(cpu, 1, None);
     let mut with_interface = DividerFarm::new(cpu, 1, Some(table));
     let mut dual = DividerFarm::new(cpu, 2, None);
-    for &op in divisions {
+    for op in divisions {
         if op.kind() != OpKind::FpDiv {
             continue;
         }
@@ -163,7 +166,7 @@ mod tests {
     fn interface_approaches_dual_divider_throughput_on_hot_streams() {
         let cpu = CpuModel::paper_slow();
         let ops = repetitive_stream(2000, 8);
-        let cmp = compare_divider_farms(&cpu, MemoConfig::paper_default(), &ops);
+        let cmp = compare_divider_farms(&cpu, MemoConfig::paper_default(), ops);
         assert!(cmp.with_interface.cycles < cmp.single.cycles / 3,
             "interface {} vs single {}", cmp.with_interface.cycles, cmp.single.cycles);
         // On a hot stream the table interface beats even two real dividers:
@@ -181,7 +184,7 @@ mod tests {
     fn cold_streams_leave_the_interface_idle() {
         let cpu = CpuModel::paper_slow();
         let ops: Vec<Op> = (0..500).map(|i| Op::FpDiv(f64::from(i) + 0.5, 3.0)).collect();
-        let cmp = compare_divider_farms(&cpu, MemoConfig::paper_default(), &ops);
+        let cmp = compare_divider_farms(&cpu, MemoConfig::paper_default(), ops);
         assert_eq!(cmp.with_interface.interface_hits, 0);
         // Without hits the interface machine degenerates to the single
         // divider (every division stalls for the one real unit).
@@ -194,7 +197,7 @@ mod tests {
     fn throughput_accounting() {
         let cpu = CpuModel::paper_fast(); // 13-cycle divider
         let ops = repetitive_stream(130, 1);
-        let cmp = compare_divider_farms(&cpu, MemoConfig::paper_default(), &ops);
+        let cmp = compare_divider_farms(&cpu, MemoConfig::paper_default(), ops);
         // Single divider: ~1/13 division per cycle.
         let tp = cmp.single.throughput(cmp.divisions);
         assert!((tp - 1.0 / 13.0).abs() < 0.01, "single throughput {tp}");

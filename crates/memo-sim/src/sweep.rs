@@ -51,7 +51,7 @@ mod tests {
         }
         let configs: Vec<MemoConfig> =
             [8usize, 32, 128].iter().map(|&e| MemoConfig::builder(e).build().unwrap()).collect();
-        let grid = SweepGrid::new(&configs, false).unwrap();
+        let grid = SweepGrid::new(&configs).unwrap();
         for kind in [OpKind::IntMul, OpKind::FpMul, OpKind::FpDiv] {
             let out = sweep_kind([&trace], kind, &grid);
             assert!(out.exact);

@@ -13,9 +13,10 @@
 //! * [`TraceRecorderSink`] — an [`EventSink`] that captures the `Arith`
 //!   events of a kernel run into an `OpTrace` and discards the rest.
 //! * [`EventTrace`] — the *full* event stream (loads, branches, ALU ops,
-//!   arithmetic) in the same SoA style, for cycle-accounting experiments
-//!   that need the memory hierarchy and instruction mix, not just the
-//!   arithmetic traffic.
+//!   arithmetic) in the same SoA style, for replaying a whole instruction
+//!   stream into cycle sinks. The experiments' cycle studies run their
+//!   kernels natively instead of keeping one: a full stream is several
+//!   times the size of its operand stream.
 //!
 //! Replay is exact: operands are stored as raw bit patterns
 //! ([`Op::operand_bits`]) and reconstructed bit-identically, so a replayed
@@ -635,12 +636,15 @@ struct EvRun {
 
 /// The complete dynamic event stream of one kernel run, in SoA form.
 ///
-/// Cycle-accounting experiments (Tables 11–13, the protection-overhead
-/// study, the pipeline models) need loads, branches, and the instruction
-/// mix — not just the arithmetic traffic. `EventTrace` records the full
-/// stream once and replays it into any number of [`EventSink`]s (cycle
-/// accountants with different CPU profiles, banks with different
-/// protection policies) without re-running the kernel.
+/// Cycle accounting needs loads, branches, and the instruction mix — not
+/// just the arithmetic traffic. `EventTrace` records the full stream once
+/// and replays it into any number of [`EventSink`]s (cycle accountants
+/// with different CPU profiles, banks with different protection
+/// policies) without re-running the kernel. The price is memory: the
+/// nine Table 11–13 applications come to 56.2 M events and 536 MB at
+/// default scale, so the experiments run those kernels natively into
+/// their sinks instead (the [`crate::CycleAccountant`] batches its own
+/// arithmetic either way).
 ///
 /// Payload-free events (ALU ops, branches, FP adds, annulled slots) cost
 /// only their share of a run header; loads/stores and square roots cost

@@ -31,8 +31,9 @@
 //! * a multi-ported table shared between several computation units (§2.3)
 //!   ([`SharedMemoTable`]);
 //! * a single-pass stack-distance sweep engine that evaluates an entire
-//!   size × associativity grid (plus the infinite column) in one pass over
-//!   an operand stream ([`StackSimulator`], [`SweepGrid`]);
+//!   size × associativity grid in one pass over an operand stream
+//!   ([`StackSimulator`], [`SweepGrid`]), and a compact exact counter for
+//!   the infinite-table column beside it ([`InfiniteColumn`]);
 //! * a latency-aware memoized functional unit ([`MemoizedUnit`]);
 //! * soft-error fault injection and protection policies
 //!   ([`FaultInjector`], [`Protection`]) — parity, SEC-DED, or
@@ -61,6 +62,7 @@
 
 pub mod baselines;
 mod batch;
+mod column;
 mod config;
 mod fault;
 mod infinite;
@@ -75,6 +77,7 @@ mod trivial;
 mod unit;
 
 pub use batch::{BatchOutcome, OpBatch, MAX_BATCH_WIDTH};
+pub use column::InfiniteColumn;
 pub use config::{
     Assoc, HashScheme, MemoConfig, MemoConfigBuilder, MemoConfigError, Replacement, TagPolicy,
     TrivialPolicy, STABLE_ENCODED_LEN, STABLE_ENCODING_VERSION,

@@ -9,9 +9,11 @@
 //! so one MRU-ordered list per set answers the hit/miss question for every
 //! associativity simultaneously — an entry found at stack depth `k` hits
 //! every table with `ways > k` and misses the rest. Distinct set counts
-//! need one list family ("level") each, and a key that was never inserted
-//! misses everywhere, which also yields the infinite-table column for
-//! free: the key store itself is the distance-∞ bucket.
+//! need one list family ("level") each. A key that falls out of every
+//! list misses everywhere, exactly like one never seen, so the engine
+//! forgets it: the key store stays bounded by the grid's total capacity,
+//! not by the stream's distinct keys. (The infinite-table column is
+//! counted separately, by [`crate::InfiniteColumn`].)
 //!
 //! [`SweepGrid::new`] validates that a family of configurations actually
 //! shares one pass (same tag/trivial/commutative/hash policies, LRU,
@@ -50,7 +52,8 @@ pub enum SweepGridError {
     /// scheme, or mix `Memoize` with the trivial-filtering policies
     /// (`Exclude` and `Integrate` see identical table traffic and may
     /// mix freely; `Memoize` routes trivial operations through the
-    /// table and may not).
+    /// table and may not). An [`crate::InfiniteColumn`] asked for
+    /// policies other than the ones it models reports this too.
     MixedPolicies,
     /// A point replaces entries by FIFO or random choice; only LRU has
     /// the inclusion property the stack pass relies on.
@@ -94,7 +97,6 @@ impl std::error::Error for SweepGridError {}
 #[derive(Debug, Clone)]
 pub struct SweepGrid {
     configs: Vec<MemoConfig>,
-    include_infinite: bool,
     tag: TagPolicy,
     commutative: bool,
     hash: HashScheme,
@@ -102,14 +104,13 @@ pub struct SweepGrid {
 }
 
 impl SweepGrid {
-    /// Validate that `configs` (plus, optionally, the infinite-table
-    /// column) can share a single stack pass.
+    /// Validate that `configs` can share a single stack pass.
     ///
     /// # Errors
     ///
     /// Returns a [`SweepGridError`] naming the first property that rules
     /// fusion out; the caller is expected to fall back to direct replay.
-    pub fn new(configs: &[MemoConfig], include_infinite: bool) -> Result<Self, SweepGridError> {
+    pub fn new(configs: &[MemoConfig]) -> Result<Self, SweepGridError> {
         let Some(first) = configs.first() else {
             return Err(SweepGridError::Empty);
         };
@@ -138,17 +139,8 @@ impl SweepGrid {
         if hash == HashScheme::FoldMix && commutative {
             return Err(SweepGridError::UnsupportedHash);
         }
-        // The infinite table models FullValue/Exclude/commutative probing
-        // (`InfiniteMemoTable::new`); its column is only exact when the
-        // finite points agree.
-        if include_infinite
-            && (tag != TagPolicy::FullValue || !commutative || !filter_trivials)
-        {
-            return Err(SweepGridError::MixedPolicies);
-        }
         Ok(SweepGrid {
             configs: configs.to_vec(),
-            include_infinite,
             tag,
             commutative,
             hash,
@@ -173,12 +165,6 @@ impl SweepGrid {
     pub fn is_empty(&self) -> bool {
         self.configs.is_empty()
     }
-
-    /// Whether the distance-∞ (infinite table) column is included.
-    #[must_use]
-    pub fn has_infinite(&self) -> bool {
-        self.include_infinite
-    }
 }
 
 /// One distinct set count: a packed MRU-first recency row per set, wide
@@ -192,9 +178,7 @@ struct Level {
     points: Vec<(usize, usize)>,
 }
 
-/// One distinct key ever inserted. The store doubles as the infinite
-/// table: a key misses everywhere exactly once, on the access that
-/// creates its node.
+/// One distinct key resident in at least one recency row.
 struct Node {
     /// Encoded result, fixed at node creation. Under either tag policy
     /// the stored bits are determined by the key (the tag fixes every
@@ -205,15 +189,13 @@ struct Node {
     /// swapped (non-canonical) operand order. Written on insert only,
     /// matching the real table, which never rewrites an entry on a hit.
     swapped: u128,
-    /// Operand order stored by the infinite table.
-    inf_swapped: bool,
     /// Canonical key, kept for index removal when the node leaves its
     /// last recency row.
     key: Key,
     /// Number of level rows currently holding this node. When it drops
-    /// to zero and the grid has no infinite column, the node is
-    /// reclaimed: the key store then stays bounded by the grid's total
-    /// capacity instead of growing with every distinct key in the trace.
+    /// to zero the node is reclaimed: the key store then stays bounded by
+    /// the grid's total capacity instead of growing with every distinct
+    /// key in the trace.
     resident: u32,
 }
 
@@ -223,8 +205,6 @@ pub struct SweepOutcome {
     /// One statistics block per grid point, in [`SweepGrid::configs`]
     /// order.
     pub finite: Vec<MemoStats>,
-    /// The infinite-table column, when the grid requested it.
-    pub infinite: Option<MemoStats>,
     /// `false` when a mantissa-mode payload failed to decode mid-pass
     /// (the real table's bypass-then-reinsert behaviour then depends on
     /// which configurations still hold the entry, so no single pass can
@@ -244,14 +224,12 @@ pub struct StackSimulator {
     commutative: bool,
     hash: HashScheme,
     filter_trivials: bool,
-    include_infinite: bool,
     levels: Vec<Level>,
     nodes: Vec<Node>,
     // The key store is the profile's hottest map; see [`KeyHashBuilder`]
     // for why SipHash is overkill here (get/insert/remove only).
     index: HashMap<Key, u32, KeyHashBuilder>,
-    /// Reusable node slots (only populated when reclamation is on,
-    /// i.e. the grid carries no infinite column).
+    /// Reusable node slots.
     free: Vec<u32>,
     // Counters identical across grid points (the front-end path never
     // depends on table geometry).
@@ -264,10 +242,6 @@ pub struct StackSimulator {
     commutative_hits: Vec<u64>,
     insertions: Vec<u64>,
     evictions: Vec<u64>,
-    // Infinite column.
-    inf_hits: u64,
-    inf_commutative_hits: u64,
-    inf_insertions: u64,
     exact: bool,
 }
 
@@ -297,7 +271,6 @@ impl StackSimulator {
             commutative: grid.commutative,
             hash: grid.hash,
             filter_trivials: grid.filter_trivials,
-            include_infinite: grid.include_infinite,
             levels,
             nodes: Vec::new(),
             index: HashMap::default(),
@@ -310,9 +283,6 @@ impl StackSimulator {
             commutative_hits: vec![0; n],
             insertions: vec![0; n],
             evictions: vec![0; n],
-            inf_hits: 0,
-            inf_commutative_hits: 0,
-            inf_insertions: 0,
             exact: true,
         }
     }
@@ -372,14 +342,7 @@ impl StackSimulator {
             self.exact = false;
             return;
         }
-        if self.include_infinite {
-            self.inf_hits += 1;
-            if self.nodes[id as usize].inf_swapped != swapped_now {
-                self.inf_commutative_hits += 1;
-            }
-        }
         let mut orient = self.nodes[id as usize].swapped;
-        let reclaim = !self.include_infinite;
         for level in &mut self.levels {
             let set = sel.set(level.sets);
             let row = &mut level.rows[set * level.max_ways..(set + 1) * level.max_ways];
@@ -424,11 +387,9 @@ impl StackSimulator {
                         set_bit(&mut orient, p, swapped_now);
                     }
                     let dropped = push_front(row, len, id);
-                    if reclaim {
-                        self.nodes[id as usize].resident += 1;
-                        if dropped != NONE {
-                            release(&mut self.nodes, &mut self.index, &mut self.free, dropped);
-                        }
+                    self.nodes[id as usize].resident += 1;
+                    if dropped != NONE {
+                        release(&mut self.nodes, &mut self.index, &mut self.free, dropped);
                     }
                 }
             }
@@ -436,7 +397,7 @@ impl StackSimulator {
         self.nodes[id as usize].swapped = orient;
     }
 
-    /// First sighting of the pair: a miss at every point including ∞.
+    /// The pair is resident nowhere: a miss at every point.
     fn insert(&mut self, op: &Op, sel: SetSel, canon: Key, swapped_now: bool) {
         let Some(payload) = encode_value(op, op.compute(), self.tag) else {
             // The result is not representable (e.g. a denormal product
@@ -448,7 +409,6 @@ impl StackSimulator {
         let node = Node {
             payload,
             swapped: if swapped_now { u128::MAX } else { 0 },
-            inf_swapped: swapped_now,
             key: canon,
             resident: u32::try_from(self.levels.len()).expect("level count fits in u32"),
         };
@@ -464,10 +424,6 @@ impl StackSimulator {
             }
         };
         self.index.insert(canon, id);
-        if self.include_infinite {
-            self.inf_insertions += 1;
-        }
-        let reclaim = !self.include_infinite;
         for level in &mut self.levels {
             let set = sel.set(level.sets);
             let row = &mut level.rows[set * level.max_ways..(set + 1) * level.max_ways];
@@ -479,7 +435,7 @@ impl StackSimulator {
                 }
             }
             let dropped = push_front(row, len, id);
-            if reclaim && dropped != NONE {
+            if dropped != NONE {
                 release(&mut self.nodes, &mut self.index, &mut self.free, dropped);
             }
         }
@@ -507,13 +463,7 @@ impl StackSimulator {
                 ..shared
             })
             .collect();
-        let infinite = self.include_infinite.then_some(MemoStats {
-            table_hits: self.inf_hits,
-            commutative_hits: self.inf_commutative_hits,
-            insertions: self.inf_insertions,
-            ..shared
-        });
-        SweepOutcome { finite, infinite, exact: self.exact }
+        SweepOutcome { finite, exact: self.exact }
     }
 }
 
@@ -565,6 +515,7 @@ fn release(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::InfiniteColumn;
     use crate::config::Assoc;
     use crate::infinite::InfiniteMemoTable;
     use crate::rng::SplitMix64;
@@ -593,8 +544,10 @@ mod tests {
             .collect()
     }
 
+    /// The fused pass against one dedicated table per point; with
+    /// `infinite`, also the infinite column against the reference table.
     fn assert_grid_matches(ops: &[Op], configs: &[MemoConfig], infinite: bool) {
-        let grid = SweepGrid::new(configs, infinite).expect("grid is fusable");
+        let grid = SweepGrid::new(configs).expect("grid is fusable");
         let mut sim = StackSimulator::new(&grid);
         for &op in ops {
             sim.access(op);
@@ -609,11 +562,13 @@ mod tests {
             assert_eq!(*fused, table.stats(), "direct replay diverged for {cfg:?}");
         }
         if infinite {
+            let mut column = InfiniteColumn::new();
             let mut table = InfiniteMemoTable::new();
             for &op in ops {
+                column.access(op);
                 table.execute(op);
             }
-            assert_eq!(out.infinite.unwrap(), table.stats());
+            assert_eq!(column.stats(), table.stats());
         }
     }
 
@@ -693,7 +648,7 @@ mod tests {
         ];
         let ops = stream(OpKind::IntMul, 0x171, 2000);
         assert_grid_matches(&ops, &configs, true);
-        let grid = SweepGrid::new(&configs, false).unwrap();
+        let grid = SweepGrid::new(&configs).unwrap();
         let mut sim = StackSimulator::new(&grid);
         for &op in &ops {
             sim.access(op);
@@ -720,7 +675,7 @@ mod tests {
             .map(|&e| MemoConfig::builder(e).tag(TagPolicy::MantissaOnly).build().unwrap())
             .collect();
         let ops = stream(OpKind::FpMul, 0x3A9, 3000);
-        let grid = SweepGrid::new(&configs, false).unwrap();
+        let grid = SweepGrid::new(&configs).unwrap();
         let mut sim = StackSimulator::new(&grid);
         for &op in &ops {
             sim.access(op);
@@ -740,7 +695,7 @@ mod tests {
     #[test]
     fn poisoned_pass_reports_inexact() {
         let configs = vec![MemoConfig::builder(8).tag(TagPolicy::MantissaOnly).build().unwrap()];
-        let grid = SweepGrid::new(&configs, false).unwrap();
+        let grid = SweepGrid::new(&configs).unwrap();
         let mut sim = StackSimulator::new(&grid);
         // Same mantissas, exponents far enough apart that the rebuilt
         // exponent of the second access's result leaves the normal range.
@@ -753,25 +708,25 @@ mod tests {
     #[test]
     fn grid_rejections_name_the_reason() {
         let lru = MemoConfig::builder(32).build().unwrap();
-        assert_eq!(SweepGrid::new(&[], false).unwrap_err(), SweepGridError::Empty);
+        assert_eq!(SweepGrid::new(&[]).unwrap_err(), SweepGridError::Empty);
         let fifo = MemoConfig::builder(32).replacement(Replacement::Fifo).build().unwrap();
         assert_eq!(
-            SweepGrid::new(&[fifo], false).unwrap_err(),
+            SweepGrid::new(&[fifo]).unwrap_err(),
             SweepGridError::UnsupportedReplacement
         );
         let foldmix = MemoConfig::builder(32).hash(HashScheme::FoldMix).build().unwrap();
         assert_eq!(
-            SweepGrid::new(&[foldmix], false).unwrap_err(),
+            SweepGrid::new(&[foldmix]).unwrap_err(),
             SweepGridError::UnsupportedHash
         );
         let mantissa = MemoConfig::builder(32).tag(TagPolicy::MantissaOnly).build().unwrap();
         assert_eq!(
-            SweepGrid::new(&[lru, mantissa], false).unwrap_err(),
+            SweepGrid::new(&[lru, mantissa]).unwrap_err(),
             SweepGridError::MixedPolicies
         );
         let memoize = MemoConfig::builder(32).trivial(TrivialPolicy::Memoize).build().unwrap();
         assert_eq!(
-            SweepGrid::new(&[lru, memoize], false).unwrap_err(),
+            SweepGrid::new(&[lru, memoize]).unwrap_err(),
             SweepGridError::MixedPolicies
         );
         let protected = MemoConfig::builder(32)
@@ -779,13 +734,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            SweepGrid::new(&[protected], false).unwrap_err(),
+            SweepGrid::new(&[protected]).unwrap_err(),
             SweepGridError::UnsupportedProtection
-        );
-        // The infinite column models Exclude-class traffic.
-        assert_eq!(
-            SweepGrid::new(&[memoize], true).unwrap_err(),
-            SweepGridError::MixedPolicies
         );
     }
 }

@@ -23,7 +23,7 @@ use memo_sim::{
     sweep_kind, CpuModel, CycleAccountant, CycleReport, Event, EventSink, MemoBank,
     MemoryHierarchy, OpTrace, TraceRecorderSink,
 };
-use memo_table::{MemoConfig, MemoStats, OpKind, SweepGrid};
+use memo_table::{InfiniteColumn, MemoConfig, MemoStats, OpKind, SweepGrid};
 
 use crate::mm::MmApp;
 use crate::sci::SciApp;
@@ -309,11 +309,13 @@ impl KindStats {
     }
 }
 
-/// Evaluate every spec in `specs` over the same traces, fusing them into
-/// one stack pass per op kind when the family qualifies ([`SweepGrid`]'s
-/// preconditions: shared policies, LRU, unprotected). Falls back to
-/// direct per-spec replay — bit-identical either way — when the family
-/// is not fusable or a mantissa-mode pass loses exactness.
+/// Evaluate every spec in `specs` over the same traces. Finite specs fuse
+/// into one stack pass per op kind when the family qualifies (at least two
+/// points sharing their kinds, and [`SweepGrid`]'s preconditions: shared
+/// policies, LRU, unprotected) and replay directly otherwise, or when a
+/// mantissa-mode pass loses exactness. Infinite specs are counted by an
+/// [`InfiniteColumn`] per kind instead of an unbounded table. Every path
+/// is bit-identical to per-spec replay.
 ///
 /// Returns one [`KindStats`] per spec, in order.
 #[must_use]
@@ -322,42 +324,48 @@ pub fn replay_stats_fused<'a>(
     specs: &[SweepSpec],
 ) -> Vec<KindStats> {
     let traces: Vec<&OpTrace> = traces.into_iter().collect();
-    if let Some(fused) = try_fused(&traces, specs) {
-        GRIDS_FUSED.fetch_add(1, Ordering::Relaxed);
-        POINTS_FUSED.fetch_add(specs.len() as u64, Ordering::Relaxed);
-        return fused;
-    }
+    let finite: Vec<SweepSpec> =
+        specs.iter().copied().filter(|s| s.shape != TableShape::Infinite).collect();
+    let finite_stats = match try_fused(&traces, &finite) {
+        Some(fused) => {
+            // The infinite specs are served by the same call.
+            GRIDS_FUSED.fetch_add(1, Ordering::Relaxed);
+            POINTS_FUSED.fetch_add(specs.len() as u64, Ordering::Relaxed);
+            fused
+        }
+        None => finite
+            .iter()
+            .map(|&spec| KindStats::from_bank(&replay_stats(traces.iter().copied(), spec)))
+            .collect(),
+    };
+    let mut finite_stats = finite_stats.into_iter();
     specs
         .iter()
-        .map(|&spec| KindStats::from_bank(&replay_stats(traces.iter().copied(), spec)))
+        .map(|spec| match spec.shape {
+            TableShape::Finite(_) => finite_stats.next().expect("one result per finite spec"),
+            TableShape::Infinite => infinite_column(&traces, spec),
+        })
         .collect()
 }
 
+/// One stack pass per op kind over a family of finite specs, or `None`
+/// when the family cannot share one.
 fn try_fused(traces: &[&OpTrace], specs: &[SweepSpec]) -> Option<Vec<KindStats>> {
-    // A one-point "grid" has no replays to avoid: direct replay is both
-    // exact and cheaper than the stack engine's shared bookkeeping.
+    // A one-point "grid" has no replays to avoid, and direct replay
+    // through the lane kernel is cheaper than a one-point stack pass
+    // (30 against 55 ns per op over the Table 7 recordings).
     if specs.len() < 2 {
         return None;
     }
     let first = specs.first()?;
-    if specs.iter().any(|s| s.kinds != first.kinds) {
-        return None;
-    }
-    // Split the grid into finite points and the infinite column, keeping
-    // each spec's position in the finite point list.
-    let mut configs = Vec::new();
-    let mut slots = Vec::with_capacity(specs.len());
+    let mut configs = Vec::with_capacity(specs.len());
     for spec in specs {
         match spec.shape {
-            TableShape::Finite(cfg) => {
-                slots.push(Some(configs.len()));
-                configs.push(cfg);
-            }
-            TableShape::Infinite => slots.push(None),
+            TableShape::Finite(cfg) if spec.kinds == first.kinds => configs.push(cfg),
+            _ => return None,
         }
     }
-    let include_infinite = slots.iter().any(Option::is_none);
-    let grid = SweepGrid::new(&configs, include_infinite).ok()?;
+    let grid = SweepGrid::new(&configs).ok()?;
 
     let mut results = vec![KindStats::default(); specs.len()];
     for kind in first.kinds() {
@@ -365,14 +373,25 @@ fn try_fused(traces: &[&OpTrace], specs: &[SweepSpec]) -> Option<Vec<KindStats>>
         if !out.exact {
             return None;
         }
-        for (slot, result) in slots.iter().zip(&mut results) {
-            result.stats[kind as usize] = Some(match slot {
-                Some(p) => out.finite[*p],
-                None => out.infinite.expect("grid includes the infinite column"),
-            });
+        for (result, stats) in results.iter_mut().zip(out.finite) {
+            result.stats[kind as usize] = Some(stats);
         }
     }
     Some(results)
+}
+
+/// An infinite spec's statistics: one [`InfiniteColumn`] walk per kind,
+/// the same counts [`MemoBank::infinite`] would report.
+fn infinite_column(traces: &[&OpTrace], spec: &SweepSpec) -> KindStats {
+    let mut out = KindStats::default();
+    for kind in spec.kinds() {
+        let mut column = InfiniteColumn::new();
+        for trace in traces {
+            trace.for_each_kind(kind, |op| column.access(op));
+        }
+        out.stats[kind as usize] = Some(column.stats());
+    }
+    out
 }
 
 /// Replay one or more traces through a fresh bank and report hit ratios.

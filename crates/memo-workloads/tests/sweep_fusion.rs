@@ -133,9 +133,9 @@ fn fused_sweep_is_bit_identical_for_synthetic_streams() {
     }
 }
 
-/// Edge geometries as their own spec family: a 1-entry table, a fully
-/// associative 4-entry table (one set), and the infinite column fused in
-/// a single grid.
+/// Edge geometries as their own spec family: a 1-entry table and a fully
+/// associative 4-entry table (one set) fused in a single grid, with the
+/// infinite column counted beside them.
 #[test]
 fn fused_sweep_handles_edge_geometries() {
     let trace = synthetic_trace(0xED6E, 5000);
