@@ -4,17 +4,16 @@
 //! table vs. private per-unit tables (§2.3, also named as future work in
 //! §4).
 
-use std::sync::Arc;
-
 use memo_sim::{Event, EventSink, MemoBank};
 use memo_table::{
     HashScheme, MemoConfig, MemoTable, Memoizer, OpKind, Replacement, SharedMemoTable,
 };
+use memo_workloads::mm::MmApp;
 use memo_workloads::suite::{replay_stats_fused, SweepSpec};
 
-use crate::figures::{sample_traces, OpTrace};
+use crate::figures::{sample_apps, sample_traces};
 use crate::format::{ratio, TextTable};
-use crate::{parallel, ExpConfig, ExperimentError};
+use crate::{parallel, traces, ExpConfig, ExperimentError};
 
 /// Hit ratios of one configuration, averaged over the five sample apps.
 #[derive(Debug, Clone, Copy)]
@@ -27,34 +26,40 @@ pub struct AblationPoint {
     pub fp_div: f64,
 }
 
-fn replay_average(traces: &[Arc<Vec<OpTrace>>], table_cfg: MemoConfig, kind: OpKind) -> f64 {
-    // Each ablation point differs in exactly the policy axis under
-    // study, so no two share a pass; the helper replays each
-    // single-point grid directly (and counts it as such).
+/// `kind`'s hit ratio at one configuration, averaged over the sample
+/// apps. The paper-default point of each ablation reads the apps' shared
+/// paper-default replays ([`traces::mm_paper_default`]): a bank's tables
+/// never interact, so its `kind` table counts what a one-kind bank would.
+/// Every other point differs in exactly the policy axis under study, so no
+/// two share a pass; the helper replays each single-point grid directly.
+fn replay_average(cfg: ExpConfig, apps: &[MmApp], table_cfg: MemoConfig, kind: OpKind) -> f64 {
     let spec = [SweepSpec::finite(table_cfg, &[kind])];
-    let ratios: Vec<f64> = traces
+    let ratios: Vec<f64> = apps
         .iter()
-        .map(|app_traces| {
-            replay_stats_fused(app_traces.iter(), &spec)[0]
-                .stats(kind)
-                .expect("spec attaches a table to kind")
-                .hit_ratio(table_cfg.trivial())
+        .map(|app| {
+            let stats = if table_cfg == MemoConfig::paper_default() {
+                traces::mm_paper_default(cfg, app)
+            } else {
+                replay_stats_fused(traces::mm_traces(cfg, app).iter(), &spec)[0]
+            };
+            stats.stats(kind).expect("spec attaches a table to kind").hit_ratio(table_cfg.trivial())
         })
         .collect();
     ratios.iter().sum::<f64>() / ratios.len() as f64
 }
 
-/// Replay the sample traces against each labelled configuration in
-/// parallel, keeping input order.
+/// Evaluate each labelled configuration over the sample apps in parallel,
+/// keeping input order.
 fn ablate(
-    traces: &[Arc<Vec<OpTrace>>],
+    cfg: ExpConfig,
     configs: Vec<(&'static str, MemoConfig)>,
-) -> Vec<AblationPoint> {
-    parallel::par_map(configs, |(label, table_cfg)| AblationPoint {
+) -> Result<Vec<AblationPoint>, ExperimentError> {
+    let apps = sample_apps()?;
+    Ok(parallel::par_map(configs, |(label, table_cfg)| AblationPoint {
         label,
-        fp_mul: replay_average(traces, table_cfg, OpKind::FpMul),
-        fp_div: replay_average(traces, table_cfg, OpKind::FpDiv),
-    })
+        fp_mul: replay_average(cfg, &apps, table_cfg, OpKind::FpMul),
+        fp_div: replay_average(cfg, &apps, table_cfg, OpKind::FpDiv),
+    }))
 }
 
 /// Ablate the index hash: the paper's XOR scheme vs. a multiply-fold mix.
@@ -63,14 +68,13 @@ fn ablate(
 ///
 /// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
 pub fn hash_schemes(cfg: ExpConfig) -> Result<Vec<AblationPoint>, ExperimentError> {
-    let traces = sample_traces(cfg)?;
     let configs = [("paper XOR", HashScheme::PaperXor), ("fold-mix", HashScheme::FoldMix)]
         .into_iter()
         .map(|(label, hash)| {
             (label, MemoConfig::builder(32).hash(hash).build().expect("valid"))
         })
         .collect();
-    Ok(ablate(&traces, configs))
+    ablate(cfg, configs)
 }
 
 /// Ablate the replacement policy within a set.
@@ -79,7 +83,6 @@ pub fn hash_schemes(cfg: ExpConfig) -> Result<Vec<AblationPoint>, ExperimentErro
 ///
 /// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
 pub fn replacement_policies(cfg: ExpConfig) -> Result<Vec<AblationPoint>, ExperimentError> {
-    let traces = sample_traces(cfg)?;
     let configs = [
         ("LRU", Replacement::Lru),
         ("FIFO", Replacement::Fifo),
@@ -90,7 +93,7 @@ pub fn replacement_policies(cfg: ExpConfig) -> Result<Vec<AblationPoint>, Experi
         (label, MemoConfig::builder(32).replacement(replacement).build().expect("valid"))
     })
     .collect();
-    Ok(ablate(&traces, configs))
+    ablate(cfg, configs)
 }
 
 /// Ablate commutative dual-order probing (§2.2) — multiplication only;
@@ -100,14 +103,13 @@ pub fn replacement_policies(cfg: ExpConfig) -> Result<Vec<AblationPoint>, Experi
 ///
 /// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
 pub fn commutative_probing(cfg: ExpConfig) -> Result<Vec<AblationPoint>, ExperimentError> {
-    let traces = sample_traces(cfg)?;
     let configs = [("both orders", true), ("as-written order", false)]
         .into_iter()
         .map(|(label, commutative)| {
             (label, MemoConfig::builder(32).commutative(commutative).build().expect("valid"))
         })
         .collect();
-    Ok(ablate(&traces, configs))
+    ablate(cfg, configs)
 }
 
 /// §2.3: two fp dividers. Compare (a) a private 32-entry table per

@@ -20,6 +20,8 @@
 //!   image, and every scientific kernel's served values must match native
 //!   computation op-for-op, whenever injection is disabled.
 
+use std::sync::Arc;
+
 use memo_sim::{
     CpuModel, CycleAccountant, Event, EventSink, MemoBank, MemoizedSink, MemoryHierarchy,
     NullSink, OpTrace,
@@ -204,19 +206,26 @@ fn pooled_cell(
     }
 }
 
-/// Replay every kernel of both suites — recorded once, process-wide —
-/// into `sink`, in the same order the native loops ran them (MM apps over
-/// the corpus, then the scientific suites). The [`DiffSink`] only
-/// observes arithmetic events, so an operand-trace replay reproduces its
-/// counters exactly.
-fn replay_suites(cfg: ExpConfig, sink: &mut impl EventSink) {
-    for app in &mm::apps() {
-        for trace in traces::mm_traces(cfg, app).iter() {
-            trace.replay_events(sink);
+/// The recordings of both suites, recorded once, process-wide: each MM
+/// application's per-image traces and each scientific kernel's trace.
+struct Recordings {
+    mm: Vec<Arc<Vec<OpTrace>>>,
+    sci: Vec<Arc<OpTrace>>,
+}
+
+impl Recordings {
+    /// Fetch (or record) every suite's recordings, in parallel.
+    fn fetch(cfg: ExpConfig) -> Self {
+        Recordings {
+            mm: parallel::par_map(mm::apps(), |app| traces::mm_traces(cfg, &app)),
+            sci: parallel::par_map(sci::all_apps(), |app| traces::sci_trace(cfg, &app)),
         }
     }
-    for app in &sci::all_apps() {
-        traces::sci_trace(cfg, app).replay_events(sink);
+
+    /// Every recording in the order the native loops ran them: MM apps
+    /// over the corpus, then the scientific suites.
+    fn walk(&self) -> impl Iterator<Item = &OpTrace> {
+        self.mm.iter().flat_map(|traces| traces.iter()).chain(self.sci.iter().map(|t| &**t))
     }
 }
 
@@ -230,28 +239,53 @@ fn replay_suites(cfg: ExpConfig, sink: &mut impl EventSink) {
 /// verification always matches — so the four clean cells are provably
 /// identical and share one computed cell.
 ///
-/// The nine computed cells are 36 independent tables. They are dealt to
-/// the [`parallel::jobs`] workers by their kind's operation count, and
-/// each worker walks the recordings once, in `replay_suites` order: per
-/// warp it computes the true results once, then every table of that kind
-/// on the worker executes the warp and counts the lanes it served
-/// corrupted. This is exactly what a [`DiffSink`] over the cell's bank
-/// counts: a bank's tables never interact, and each table still sees its
-/// kind's operations in recorded order.
+/// The SEC-DED cells at the nonzero rates are derived, not simulated. The
+/// sweep's fault model is [`FaultConfig::single_bit`] on full-value tags:
+/// one-bit value strikes only, no tag strikes, no stuck-at cells.
+///
+/// * A SEC-DED read therefore sees at most one flipped bit, because every
+///   earlier strike was corrected and rewritten on the read it landed on.
+///   It corrects that bit, serves the clean payload and never invalidates
+///   the entry, so at every operation the table has the clean table's
+///   valid bits, tags, LRU stamps and served bits. It draws one value
+///   strike per tag match, which is once per clean hit.
+/// * The unprotected table at the same rate never downgrades a hit (a
+///   full-value payload always decodes) and never touches a tag, so it
+///   follows the same trajectory and makes the same draws — from the same
+///   seed, since [`faulty_table`] seeds by slot and rate, not by policy.
+///
+/// So the SEC-DED cell at rate r is the clean cell's hits, lookups, served
+/// operations and mismatches, with `faults_injected` = `faults_corrected`
+/// = the unprotected cell's `faults_injected` at r, and nothing detected
+/// or silent. The clean cell itself is not derived from the unprotected
+/// tables: a commutative swapped hit can serve bits that differ from the
+/// truth when both `FpMul` operands are distinct NaNs, and only the clean
+/// table counts those.
+///
+/// The seven simulated cells — clean, then no protection, parity and
+/// verify at each nonzero rate — are 28 independent tables. They are
+/// dealt to the [`parallel::jobs`] workers by their kind's operation
+/// count, and each worker walks the recordings once, in the order the
+/// native loops ran them: per warp it computes the true results once,
+/// then every table of that kind on the worker executes the warp and
+/// counts the lanes it served corrupted. This is exactly what a
+/// [`DiffSink`] over the cell's bank counts: a bank's tables never
+/// interact, and each table still sees its kind's operations in recorded
+/// order.
 #[must_use]
 pub fn sweep(cfg: ExpConfig) -> Vec<FaultCell> {
+    let simulated = |protection| protection != Protection::EccSecDed;
     let mut grid: Vec<(Protection, f64)> = vec![(Protection::None, 0.0)];
     grid.extend(
         Protection::ALL
             .iter()
+            .filter(|&&protection| simulated(protection))
             .flat_map(|&protection| FAULT_RATES.iter().map(move |&rate| (protection, rate)))
             .filter(|&(_, rate)| rate > 0.0),
     );
 
-    let mm = parallel::par_map(mm::apps(), |app| traces::mm_traces(cfg, &app));
-    let sci = parallel::par_map(sci::all_apps(), |app| traces::sci_trace(cfg, &app));
-    let walk: Vec<&OpTrace> =
-        mm.iter().flat_map(|traces| traces.iter()).chain(sci.iter().map(|t| &**t)).collect();
+    let recordings = Recordings::fetch(cfg);
+    let walk: Vec<&OpTrace> = recordings.walk().collect();
     let mut ops = [0usize; 4];
     for kind in MEMO_KINDS {
         ops[kind as usize] = walk.iter().map(|t| t.count(kind)).sum();
@@ -290,14 +324,28 @@ pub fn sweep(cfg: ExpConfig) -> Vec<FaultCell> {
         })
         .collect();
     let clean = computed[0];
-    let mut nonzero = computed.into_iter().skip(1);
+    let cell = |protection, rate| {
+        let at = grid.iter().position(|&point| point == (protection, rate));
+        computed[at.expect("every simulated cell is computed")]
+    };
     let mut out = Vec::with_capacity(Protection::ALL.len() * FAULT_RATES.len());
     for &protection in &Protection::ALL {
         for &rate in &FAULT_RATES {
-            out.push(if rate > 0.0 {
-                nonzero.next().expect("one computed cell per nonzero grid point")
-            } else {
+            out.push(if rate == 0.0 {
                 FaultCell { protection, ..clean }
+            } else if simulated(protection) {
+                cell(protection, rate)
+            } else {
+                let injected = cell(Protection::None, rate).faults_injected;
+                FaultCell {
+                    protection,
+                    fault_rate: rate,
+                    faults_injected: injected,
+                    faults_corrected: injected,
+                    faults_detected: 0,
+                    faults_silent: 0,
+                    ..clean
+                }
             });
         }
     }
@@ -439,12 +487,22 @@ pub struct BreakerDemo {
 /// Drive parity-protected tables at an unrealistically hostile fault rate
 /// behind a circuit breaker: every slot should exceed the detection
 /// threshold and be taken offline, degrading to the conventional unit.
+///
+/// The recordings replay in the order the native loops ran them, except
+/// that a recording in which every kind present has already tripped is
+/// skipped. That is exact: a tripped table is never consulted again, and
+/// the demo reports only trips and detections.
 #[must_use]
 pub fn breaker_demo(cfg: ExpConfig) -> BreakerDemo {
     let threshold = 8;
     let bank = faulty_bank(Protection::ParityDetect, 0.5, 0xB2EA).with_circuit_breaker(threshold);
     let mut sink = DiffSink::new(bank);
-    replay_suites(cfg, &mut sink);
+    for trace in Recordings::fetch(cfg).walk() {
+        let live = |kind| trace.count(kind) > 0 && !sink.bank().breaker_tripped(kind);
+        if MEMO_KINDS.into_iter().any(live) {
+            trace.replay_events(&mut sink);
+        }
+    }
     let bank = sink.into_bank();
     let tripped = MEMO_KINDS.iter().filter(|&&k| bank.breaker_tripped(k)).count();
     let detected = MEMO_KINDS
@@ -607,6 +665,22 @@ pub fn render(cfg: ExpConfig) -> Result<String, ExperimentError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Replay every kernel of both suites — recorded once, process-wide —
+    /// into `sink`, in the same order the native loops ran them (MM apps
+    /// over the corpus, then the scientific suites). The [`DiffSink`]
+    /// only observes arithmetic events, so an operand-trace replay
+    /// reproduces its counters exactly.
+    fn replay_suites(cfg: ExpConfig, sink: &mut impl EventSink) {
+        for app in &mm::apps() {
+            for trace in traces::mm_traces(cfg, app).iter() {
+                trace.replay_events(sink);
+            }
+        }
+        for app in &sci::all_apps() {
+            traces::sci_trace(cfg, app).replay_events(sink);
+        }
+    }
 
     fn sink_cell(protection: Protection, rate: f64, sink: &DiffSink) -> FaultCell {
         let stats = MEMO_KINDS.iter().filter_map(|&k| sink.bank().stats(k));

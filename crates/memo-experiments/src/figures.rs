@@ -6,8 +6,8 @@ use std::sync::Arc;
 use memo_fit::{fit_line, Line};
 use memo_imaging::entropy;
 use memo_table::{Assoc, MemoConfig, OpKind};
-use memo_workloads::mm;
-use memo_workloads::suite::{replay_ratios, replay_stats_fused, SweepSpec};
+use memo_workloads::mm::{self, MmApp};
+use memo_workloads::suite::{replay_stats_fused, SweepSpec};
 
 use crate::format::TextTable;
 use crate::{parallel, results, traces, ExpConfig, ExperimentError};
@@ -64,17 +64,15 @@ pub fn figure2(cfg: ExpConfig) -> Result<Figure2, ExperimentError> {
 
 fn figure2_uncached(cfg: ExpConfig) -> Result<Figure2, ExperimentError> {
     let corpus = traces::corpus(cfg.image_scale);
-    let apps = mm::apps();
-    // One recording per (app, image) — shared with Tables 7 and 8.
-    let app_traces: Vec<_> = apps.iter().map(|app| traces::mm_traces(cfg, app)).collect();
-    let spec = SweepSpec::paper_default();
+    // One paper-default replay per (app, image) — shared with Table 8.
+    let per_app = parallel::par_map(mm::apps(), |app| traces::mm_image_paper_defaults(cfg, &app));
     let per_image = parallel::par_map((0..corpus.len()).collect(), |i| {
         let Some(report) = entropy::report(&corpus[i].image) else {
             return Vec::new();
         };
         let mut points = Vec::new();
-        for app_traces in &app_traces {
-            let hits = replay_ratios([&app_traces[i]], spec);
+        for images in &per_app {
+            let hits = images[i].ratios();
             if hits.fp_mul.is_none() && hits.fp_div.is_none() {
                 continue;
             }
@@ -184,10 +182,12 @@ pub struct SweepCurve {
 ///
 /// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
 pub fn sample_traces(cfg: ExpConfig) -> Result<Vec<Arc<Vec<OpTrace>>>, ExperimentError> {
-    SAMPLE_APPS
-        .iter()
-        .map(|name| Ok(traces::mm_traces(cfg, &crate::error::find_mm(name)?)))
-        .collect()
+    Ok(sample_apps()?.iter().map(|app| traces::mm_traces(cfg, app)).collect())
+}
+
+/// The five sample apps, in [`SAMPLE_APPS`] order.
+pub(crate) fn sample_apps() -> Result<Vec<MmApp>, ExperimentError> {
+    SAMPLE_APPS.iter().map(|name| crate::error::find_mm(name)).collect()
 }
 
 /// Measure one operation kind's hit-ratio curve over an arbitrary

@@ -1,6 +1,8 @@
 //! Tables 5, 6, 7 — hit ratios per application, 32-entry 4-way vs.
-//! "infinite" MEMO-TABLEs.
+//! "infinite" MEMO-TABLEs. The finite column is the shared paper-default
+//! replay of [`crate::traces`]; the infinite column is counted here.
 
+use memo_sim::OpTrace;
 use memo_table::OpKind;
 use memo_workloads::mm::MmApp;
 use memo_workloads::sci::SciApp;
@@ -34,23 +36,19 @@ pub struct HitTable {
 
 const KINDS: [OpKind; 3] = [OpKind::IntMul, OpKind::FpMul, OpKind::FpDiv];
 
-fn finite_spec() -> SweepSpec {
-    SweepSpec::paper_default()
+/// The infinite column: one compact counter per kind, walked over the
+/// recordings in order.
+fn infinite_ratios<'a>(traces: impl IntoIterator<Item = &'a OpTrace>) -> HitRatios {
+    replay_stats_fused(traces, &[SweepSpec::infinite(&KINDS)])[0].ratios()
 }
 
-fn infinite_spec() -> SweepSpec {
-    SweepSpec::infinite(&KINDS)
-}
-
-/// One sci row: record the kernel once; one replay serves the finite
-/// point and one compact counter per kind the infinite column.
+/// One sci row: the finite column is the kernel's shared paper-default
+/// replay, the infinite column counts the recording once more.
 fn sci_row(cfg: ExpConfig, app: &SciApp, upper: bool) -> HitRow {
-    let trace = traces::sci_trace(cfg, app);
-    let both = replay_stats_fused([&*trace], &[finite_spec(), infinite_spec()]);
     HitRow {
         name: if upper { app.name.to_uppercase() } else { app.name.to_string() },
-        finite: both[0].ratios(),
-        infinite: both[1].ratios(),
+        finite: traces::sci_paper_default(cfg, app).ratios(),
+        infinite: infinite_ratios([&*traces::sci_trace(cfg, app)]),
     }
 }
 
@@ -92,14 +90,10 @@ pub fn table6(cfg: ExpConfig) -> HitTable {
 #[must_use]
 pub fn table7(cfg: ExpConfig) -> HitTable {
     results::cached("table7", cfg, || {
-        let rows = parallel::par_map(mm::apps(), |app: MmApp| {
-            let app_traces = traces::mm_traces(cfg, &app);
-            let both = replay_stats_fused(app_traces.iter(), &[finite_spec(), infinite_spec()]);
-            HitRow {
-                name: app.name.to_string(),
-                finite: both[0].ratios(),
-                infinite: both[1].ratios(),
-            }
+        let rows = parallel::par_map(mm::apps(), |app: MmApp| HitRow {
+            name: app.name.to_string(),
+            finite: traces::mm_paper_default(cfg, &app).ratios(),
+            infinite: infinite_ratios(traces::mm_traces(cfg, &app).iter()),
         });
         build("Table 7: Hit ratios for Multi-Media applications", rows)
     })

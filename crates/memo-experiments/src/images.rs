@@ -6,7 +6,7 @@ use memo_imaging::entropy;
 use memo_imaging::synth::CorpusImage;
 use memo_table::OpKind;
 use memo_workloads::mm;
-use memo_workloads::suite::{measure_mm_app, replay_ratios, HitRatios, SweepSpec};
+use memo_workloads::suite::{measure_mm_app, HitRatios, SweepSpec};
 
 use crate::format::{ratio, TextTable};
 use crate::{parallel, traces, ExpConfig};
@@ -58,17 +58,15 @@ fn row(c: &CorpusImage, per_app_hits: &[HitRatios]) -> ImageRow {
     }
 }
 
-/// Compute Table 8 for the synthetic corpus — replayed from the shared
-/// per-image recordings (one native run per application and image).
+/// Compute Table 8 for the synthetic corpus from the shared per-image
+/// paper-default replays (one per application and image, shared with
+/// Figure 2).
 #[must_use]
 pub fn table8(cfg: ExpConfig) -> Vec<ImageRow> {
     let corpus = traces::corpus(cfg.image_scale);
-    let apps = mm::apps();
-    let app_traces: Vec<_> = apps.iter().map(|app| traces::mm_traces(cfg, app)).collect();
-    let spec = SweepSpec::paper_default();
+    let per_app = parallel::par_map(mm::apps(), |app| traces::mm_image_paper_defaults(cfg, &app));
     parallel::par_map((0..corpus.len()).collect(), |i| {
-        let hits: Vec<HitRatios> =
-            app_traces.iter().map(|t| replay_ratios([&t[i]], spec)).collect();
+        let hits: Vec<HitRatios> = per_app.iter().map(|images| images[i].ratios()).collect();
         row(&corpus[i], &hits)
     })
 }

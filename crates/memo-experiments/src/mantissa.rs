@@ -1,6 +1,7 @@
 //! Table 10 — storing only the mantissas vs. the whole floating-point
 //! number (suite averages, 32-entry 4-way tables).
 
+use memo_sim::OpTrace;
 use memo_table::{MemoConfig, OpKind, TagPolicy};
 use memo_workloads::suite::{replay_stats_fused, HitRatios, SweepSpec};
 use memo_workloads::{mm, sci};
@@ -23,14 +24,18 @@ pub struct MantissaRow {
     pub fdiv_mant: f64,
 }
 
-fn spec_with(tag: TagPolicy) -> SweepSpec {
-    let cfg = MemoConfig::builder(32).tag(tag).build().expect("32/4 is valid");
+/// The mantissa-only column's tables.
+fn mantissa_spec() -> SweepSpec {
+    let cfg = MemoConfig::builder(32).tag(TagPolicy::MantissaOnly).build().expect("32/4 is valid");
     SweepSpec::finite(cfg, &[OpKind::FpMul, OpKind::FpDiv])
 }
 
 /// Compute Table 10: Perfect and Multi-Media suite averages under both
-/// tag policies. Each application is recorded once and replayed against
-/// both policies.
+/// tag policies. Full-value tags are the paper's default, and a bank's
+/// tables never interact, so the full-value column reads each
+/// application's shared paper-default replay ([`crate::traces`]). The
+/// mantissa-only tables see other traffic (non-normal operands bypass
+/// them), so they get a replay of their own.
 #[must_use]
 pub fn table10(cfg: ExpConfig) -> [MantissaRow; 2] {
     results::cached("table10", cfg, || table10_uncached(cfg))
@@ -45,25 +50,19 @@ fn table10_uncached(cfg: ExpConfig) -> [MantissaRow; 2] {
         }
         avg
     };
-
-    // The two tag policies see different table traffic (mantissa-only
-    // bypasses non-normal operands), so they cannot share one pass; the
-    // helper replays each single-point grid directly.
-    let ratios_for = |tag| move |traces: &[&memo_sim::OpTrace]| {
-        replay_stats_fused(traces.iter().copied(), &[spec_with(tag)])[0].ratios()
+    let mant = |traces: &[&OpTrace]| {
+        replay_stats_fused(traces.iter().copied(), &[mantissa_spec()])[0].ratios()
     };
-    let full = ratios_for(TagPolicy::FullValue);
-    let mant = ratios_for(TagPolicy::MantissaOnly);
 
     let perfect = accumulate(parallel::par_map(sci::perfect_apps(), |app| {
         let trace = traces::sci_trace(cfg, &app);
-        [full(&[&*trace]), mant(&[&*trace])]
+        [traces::sci_paper_default(cfg, &app).ratios(), mant(&[&*trace])]
     }));
 
     let media = accumulate(parallel::par_map(mm::apps(), |app| {
         let app_traces = traces::mm_traces(cfg, &app);
-        let refs: Vec<&memo_sim::OpTrace> = app_traces.iter().collect();
-        [full(&refs), mant(&refs)]
+        let refs: Vec<&OpTrace> = app_traces.iter().collect();
+        [traces::mm_paper_default(cfg, &app).ratios(), mant(&refs)]
     }));
 
     [perfect.row("Perfect"), media.row("Multi-Media")]

@@ -47,11 +47,13 @@ pub(crate) fn cached<T: Clone + Send + Sync + 'static>(
         .clone()
 }
 
-/// Forget every cached experiment result (recorded traces stay shared).
-/// For measurements that must recompute — the equivalence tests clear the
-/// cache between serial and parallel renders so both really run.
+/// Forget every cached experiment result and every shared paper-default
+/// replay ([`crate::traces`]); recorded traces stay shared. For
+/// measurements that must recompute — the equivalence tests clear the
+/// caches between serial and parallel renders so both really run.
 pub fn clear() {
     cache().clear();
+    crate::traces::forget_replays();
 }
 
 /// Snapshot the experiment-cache counters (exposed by `memo-serve`'s

@@ -205,6 +205,37 @@ impl CycleReport {
             .collect();
         amdahl::speedup_multi(&parts)
     }
+
+    /// The same run priced on `cpu`: exactly the report a
+    /// [`CycleAccountant`] on `cpu` would produce for the same events and
+    /// bank.
+    ///
+    /// Every charge is a count times a price. ALU, fp-add and branch
+    /// events cost their unit's latency each and annulled slots one cycle;
+    /// memory cycles come from the cache model, which no latency touches;
+    /// and the tables' hits never depend on latencies. Per arithmetic kind
+    /// the memoized charge is `single + penalties + (n − single)·latency`,
+    /// so the hit penalties are what remains of it once the single-cycle
+    /// and full-latency parts are taken out at the old price.
+    #[must_use]
+    pub fn repriced(&self, cpu: CpuModel) -> CycleReport {
+        let mix = &self.mix;
+        let (mut baseline, mut memoized) = (self.baseline, self.memoized);
+        for machine in [&mut baseline, &mut memoized] {
+            machine.int_alu = mix.int_alu * u64::from(cpu.int_alu);
+            machine.fp_add = mix.fp_add * u64::from(cpu.fp_add);
+            machine.branch = mix.branches * u64::from(cpu.branch);
+        }
+        for kind in OpKind::ALL {
+            let slot = kind_slot(kind);
+            let (n, single) = (self.arith_count[slot], self.arith_single[slot]);
+            let (old, new) = (u64::from(self.cpu.latency(kind)), u64::from(cpu.latency(kind)));
+            let penalties = self.memoized.arith[slot] - single - (n - single) * old;
+            baseline.arith[slot] = n * new;
+            memoized.arith[slot] = single + penalties + (n - single) * new;
+        }
+        CycleReport { cpu, baseline, memoized, ..self.clone() }
+    }
 }
 
 /// An [`EventSink`] that charges cycles for both machines in one pass.

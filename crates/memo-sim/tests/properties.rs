@@ -9,7 +9,7 @@ use memo_sim::{
 use memo_table::rng::SplitMix64;
 use memo_table::{
     FaultConfig, FaultInjector, MemoConfig, MemoTable, Op, OpBatch, OpKind, Outcome, Protection,
-    MAX_BATCH_WIDTH,
+    TrivialPolicy, MAX_BATCH_WIDTH,
 };
 
 fn arb_addr(r: &mut SplitMix64) -> u64 {
@@ -419,4 +419,68 @@ fn batching_accountant_matches_per_op_charging() {
         }
     }
     assert!(mid_tile_trips > 0, "no breaker tripped in the middle of a tile");
+}
+
+/// Integrate-policy tables, two of them protected: their trivial results
+/// are avoided (one cycle, no penalty) without being hits, while their
+/// hits pay the protection's penalty.
+fn integrate_bank() -> MemoBank {
+    let table = |protection| {
+        let cfg = MemoConfig::builder(32)
+            .trivial(TrivialPolicy::Integrate)
+            .protection(protection)
+            .build()
+            .unwrap();
+        MemoTable::new(cfg)
+    };
+    MemoBank::none()
+        .with_table(OpKind::IntMul, table(Protection::None))
+        .with_table(OpKind::FpMul, table(Protection::EccSecDed))
+        .with_table(OpKind::FpDiv, table(Protection::VerifyOnHit { verify_cycles: 3 }))
+        .with_table(OpKind::FpSqrt, table(Protection::None))
+}
+
+/// Repricing is exact: a run charged on one CPU profile and repriced for
+/// the other equals a run charged on the other profile in every field —
+/// both breakdowns, the mix, the hit ratios and the cache statistics —
+/// for plain, protected (non-zero hit penalties) and Integrate-policy
+/// banks, in both directions.
+#[test]
+fn repricing_matches_a_run_on_the_other_profile() {
+    let (slow_cpu, fast_cpu) = (CpuModel::paper_slow(), CpuModel::paper_fast());
+    for seed in 0..ROUNDS {
+        let mut r = SplitMix64::new(seed).split("repricing");
+        let steps: Vec<Step> = (0..2000 + r.next_below(2000)).map(|_| arb_step(&mut r)).collect();
+        for name in ["plain", "protected", "integrate"] {
+            let run = |cpu| {
+                let bank = match name {
+                    "plain" => plain_bank(),
+                    "protected" => protected_bank(),
+                    _ => integrate_bank(),
+                };
+                let mut acc = CycleAccountant::new(cpu, MemoryHierarchy::typical_1997(), bank);
+                feed(&mut acc, &steps);
+                acc.report()
+            };
+            let (slow, fast) = (run(slow_cpu), run(fast_cpu));
+            assert_ne!(slow.baseline(), fast.baseline(), "seed {seed}, {name}: profiles differ");
+            for (from, to) in [(&slow, &fast), (&fast, &slow)] {
+                let what = format!("seed {seed}, {name} bank, {} -> {}", from.cpu(), to.cpu());
+                let got = from.repriced(*to.cpu());
+                assert_eq!(*got.cpu(), *to.cpu(), "{what}: cpu");
+                assert_eq!(*got.baseline(), *to.baseline(), "{what}: baseline cycles");
+                assert_eq!(*got.memoized(), *to.memoized(), "{what}: memoized cycles");
+                assert_eq!(*got.mix(), *to.mix(), "{what}: instruction mix");
+                assert_eq!(got.l1_stats(), to.l1_stats(), "{what}: L1");
+                assert_eq!(got.l2_stats(), to.l2_stats(), "{what}: L2");
+                for kind in OpKind::ALL {
+                    assert_eq!(
+                        got.hit_ratio(kind).to_bits(),
+                        to.hit_ratio(kind).to_bits(),
+                        "{what}: {kind:?} hit ratio"
+                    );
+                }
+            }
+        }
+    }
 }
