@@ -1,9 +1,10 @@
 //! Scalar vs batched trace replay — the economics of the warp-style
 //! execution engine. The scalar path pulls one [`memo_table::Op`] at a
 //! time through `MemoBank::execute` (a virtual call, an enum build, and a
-//! policy cascade per operation); the batched path decodes each RLE run
-//! once into structure-of-arrays lane tiles and drives the memo tables'
-//! lane-parallel probe front end (`execute_batch`).
+//! policy cascade per operation); the batched path decodes each kind's
+//! dictionary-coded columns into structure-of-arrays lane tiles and
+//! drives the memo tables' lane-parallel probe front end
+//! (`execute_batch`).
 //!
 //! Results are written to `BENCH_replay.json`: one scalar/batched median
 //! pair per kernel (every MM application and both scientific suites) and

@@ -26,26 +26,37 @@ pub struct AblationPoint {
     pub fp_div: f64,
 }
 
-/// `kind`'s hit ratio at one configuration, averaged over the sample
-/// apps. The paper-default point of each ablation reads the apps' shared
-/// paper-default replays ([`traces::mm_paper_default`]): a bank's tables
-/// never interact, so its `kind` table counts what a one-kind bank would.
+/// The fmul and fdiv hit ratios of one configuration, each averaged over
+/// the sample apps. The paper-default point of each ablation reads the
+/// apps' shared paper-default replays ([`traces::mm_paper_default`]).
 /// Every other point differs in exactly the policy axis under study, so no
-/// two share a pass; the helper replays each single-point grid directly.
-fn replay_average(cfg: ExpConfig, apps: &[MmApp], table_cfg: MemoConfig, kind: OpKind) -> f64 {
-    let spec = [SweepSpec::finite(table_cfg, &[kind])];
-    let ratios: Vec<f64> = apps
+/// two share a pass; each app's recordings are replayed once through a
+/// two-kind bank. Both readings are exact because a bank's tables never
+/// interact: its fmul and fdiv tables count what one-kind banks would.
+fn ablate_point(
+    cfg: ExpConfig,
+    apps: &[MmApp],
+    label: &'static str,
+    table_cfg: MemoConfig,
+) -> AblationPoint {
+    let spec = [SweepSpec::finite(table_cfg, &[OpKind::FpMul, OpKind::FpDiv])];
+    let per_app: Vec<_> = apps
         .iter()
         .map(|app| {
-            let stats = if table_cfg == MemoConfig::paper_default() {
+            if table_cfg == MemoConfig::paper_default() {
                 traces::mm_paper_default(cfg, app)
             } else {
                 replay_stats_fused(traces::mm_traces(cfg, app).iter(), &spec)[0]
-            };
-            stats.stats(kind).expect("spec attaches a table to kind").hit_ratio(table_cfg.trivial())
+            }
         })
         .collect();
-    ratios.iter().sum::<f64>() / ratios.len() as f64
+    let average = |kind: OpKind| {
+        let ratios = per_app.iter().map(|stats| {
+            stats.stats(kind).expect("spec attaches a table to kind").hit_ratio(table_cfg.trivial())
+        });
+        ratios.sum::<f64>() / per_app.len() as f64
+    };
+    AblationPoint { label, fp_mul: average(OpKind::FpMul), fp_div: average(OpKind::FpDiv) }
 }
 
 /// Evaluate each labelled configuration over the sample apps in parallel,
@@ -55,11 +66,7 @@ fn ablate(
     configs: Vec<(&'static str, MemoConfig)>,
 ) -> Result<Vec<AblationPoint>, ExperimentError> {
     let apps = sample_apps()?;
-    Ok(parallel::par_map(configs, |(label, table_cfg)| AblationPoint {
-        label,
-        fp_mul: replay_average(cfg, &apps, table_cfg, OpKind::FpMul),
-        fp_div: replay_average(cfg, &apps, table_cfg, OpKind::FpDiv),
-    }))
+    Ok(parallel::par_map(configs, |(label, table_cfg)| ablate_point(cfg, &apps, label, table_cfg)))
 }
 
 /// Ablate the index hash: the paper's XOR scheme vs. a multiply-fold mix.
@@ -131,14 +138,7 @@ pub struct SharedVsPrivate {
 ///
 /// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
 pub fn shared_vs_private(cfg: ExpConfig) -> Result<SharedVsPrivate, ExperimentError> {
-    // The combined division stream of the sample apps, replayed from the
-    // shared recordings in app-major, corpus order.
     let traces = sample_traces(cfg)?;
-    let stream = traces
-        .iter()
-        .flat_map(|app_traces| app_traces.iter())
-        .flat_map(|trace| trace.iter())
-        .filter(|op| op.kind() == OpKind::FpDiv);
 
     // Private tables, round-robin dispatch.
     let mut unit0 = MemoTable::new(MemoConfig::paper_default());
@@ -148,17 +148,21 @@ pub fn shared_vs_private(cfg: ExpConfig) -> Result<SharedVsPrivate, ExperimentEr
     let mut shared0 = shared.clone();
     let mut shared1 = shared.clone();
 
+    // The combined division stream of the sample apps, replayed from the
+    // shared recordings in app-major, corpus order.
     let mut toggle = false;
-    for op in stream {
-        shared.begin_cycle();
-        if toggle {
-            unit0.execute(op);
-            shared0.execute(op);
-        } else {
-            unit1.execute(op);
-            shared1.execute(op);
-        }
-        toggle = !toggle;
+    for trace in traces.iter().flat_map(|app_traces| app_traces.iter()) {
+        trace.for_each_kind(OpKind::FpDiv, |op| {
+            shared.begin_cycle();
+            if toggle {
+                unit0.execute(op);
+                shared0.execute(op);
+            } else {
+                unit1.execute(op);
+                shared1.execute(op);
+            }
+            toggle = !toggle;
+        });
     }
 
     let private_stats_hits = unit0.stats().table_hits + unit1.stats().table_hits;

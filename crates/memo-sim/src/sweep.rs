@@ -4,8 +4,8 @@
 //! The stack engine lives in `memo-table` ([`StackSimulator`]); this
 //! module feeds it from recorded [`OpTrace`]s. Each hardware unit has its
 //! own MEMO-TABLE, so grids are evaluated kind-by-kind: the pass for
-//! `FpMul` walks only the multiply runs of the trace (the RLE run index
-//! skips everything else without decoding it).
+//! `FpMul` walks only the trace's multiply columns and never touches the
+//! other kinds'.
 
 use memo_table::{OpKind, StackSimulator, SweepGrid, SweepOutcome};
 
@@ -16,7 +16,7 @@ use crate::trace::OpTrace;
 ///
 /// Equivalent to replaying the traces through one dedicated
 /// [`memo_table::MemoTable`] per grid point — bit-identical statistics,
-/// G times fewer passes. Operations are decoded run by run and fed to
+/// G times fewer passes. Operations are decoded tile by tile and fed to
 /// [`StackSimulator::access`] one at a time; the per-level recency-row
 /// walks dominate the pass, so a lane-parallel front end does not pay
 /// here. Check [`SweepOutcome::exact`] before trusting the counters: a

@@ -7,9 +7,11 @@
 //! point; the structures here restore the paper's record-once model:
 //!
 //! * [`OpTrace`] — the arithmetic operand stream (the traffic MEMO-TABLEs
-//!   see), stored as a structure-of-arrays buffer: run-length-encoded
-//!   [`OpKind`] discriminants plus packed `u64` operand columns. No
-//!   per-event allocation; ≤ 16 bytes per operation.
+//!   see), dictionary-coded per [`OpKind`]: each kind keeps its distinct
+//!   operand bit patterns once and `u16` index columns into them (`u32`
+//!   once a kind has more than 65,536 distinct values), and a
+//!   run-length-encoded kind index keeps the native order across kinds.
+//!   No per-event allocation.
 //! * [`TraceRecorderSink`] — an [`EventSink`] that captures the `Arith`
 //!   events of a kernel run into an `OpTrace` and discards the rest.
 //! * [`EventTrace`] — the *full* event stream (loads, branches, ALU ops,
@@ -18,13 +20,17 @@
 //!   kernels natively instead of keeping one: a full stream is several
 //!   times the size of its operand stream.
 //!
-//! Replay is exact: operands are stored as raw bit patterns
-//! ([`Op::operand_bits`]) and reconstructed bit-identically, so a replayed
-//! probe stream drives a [`MemoBank`] through precisely the operand values,
-//! order, and kinds of the native run — hit ratios and statistics are
-//! bit-identical (asserted by the equivalence tests in `memo-workloads`).
+//! Replay is exact: the dictionaries hold raw bit patterns
+//! ([`Op::operand_bits`]) and every operation is reconstructed
+//! bit-identically, so a replayed probe stream drives a [`MemoBank`]
+//! through precisely the operand values and order of the native run, per
+//! kind — hit ratios and statistics are bit-identical (asserted by the
+//! equivalence tests in `memo-workloads` and `memo-experiments`).
 
-use memo_table::{Memoizer, Op, OpBatch, OpKind, MAX_BATCH_WIDTH};
+use std::hash::BuildHasher;
+use std::ops::Range;
+
+use memo_table::{KeyHashBuilder, Memoizer, Op, OpBatch, OpKind, MAX_BATCH_WIDTH};
 
 use crate::bank::MemoBank;
 use crate::event::{Event, EventSink};
@@ -39,22 +45,11 @@ const MAX_RUN_LEN: u32 = (1 << RUN_LEN_BITS) - 1;
 
 impl KindRun {
     fn new(kind: OpKind, len: u32) -> Self {
-        let idx = match kind {
-            OpKind::IntMul => 0u32,
-            OpKind::FpMul => 1,
-            OpKind::FpDiv => 2,
-            OpKind::FpSqrt => 3,
-        };
-        KindRun(idx << RUN_LEN_BITS | len)
+        KindRun((kind as u32) << RUN_LEN_BITS | len)
     }
 
     fn kind(self) -> OpKind {
-        match self.0 >> RUN_LEN_BITS {
-            0 => OpKind::IntMul,
-            1 => OpKind::FpMul,
-            2 => OpKind::FpDiv,
-            _ => OpKind::FpSqrt,
-        }
+        OpKind::ALL[(self.0 >> RUN_LEN_BITS) as usize]
     }
 
     fn len(self) -> u32 {
@@ -62,17 +57,295 @@ impl KindRun {
     }
 }
 
-/// A compact structure-of-arrays trace of the arithmetic operand stream.
+/// Distinct values a kind's dictionary holds before its index columns
+/// widen from `u16` to `u32`.
+const NARROW_LIMIT: usize = 1 << 16;
+
+/// A position in a kind's dictionary, as stored in an index column.
+trait DictIndex: Copy {
+    fn get(self) -> usize;
+}
+
+impl DictIndex for u16 {
+    #[inline]
+    fn get(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl DictIndex for u32 {
+    #[inline]
+    fn get(self) -> usize {
+        self as usize
+    }
+}
+
+/// One kind's `a` and `b` index columns (`b` stays empty for
+/// [`OpKind::FpSqrt`]). Both widen together.
+#[derive(Debug, Clone)]
+enum Indices {
+    /// The dictionary holds at most [`NARROW_LIMIT`] values.
+    Narrow { a: Vec<u16>, b: Vec<u16> },
+    /// The dictionary holds more.
+    Wide { a: Vec<u32>, b: Vec<u32> },
+}
+
+impl Default for Indices {
+    fn default() -> Self {
+        Indices::Narrow { a: Vec::new(), b: Vec::new() }
+    }
+}
+
+impl Indices {
+    fn len(&self) -> usize {
+        match self {
+            Indices::Narrow { a, .. } => a.len(),
+            Indices::Wide { a, .. } => a.len(),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            Indices::Narrow { a, b } => (a.len() + b.len()) * 2,
+            Indices::Wide { a, b } => (a.len() + b.len()) * 4,
+        }
+    }
+
+    /// Re-store narrow columns as `u32`.
+    fn widen(&mut self) {
+        if let Indices::Narrow { a, b } = self {
+            let wide = |col: &[u16]| col.iter().map(|&i| u32::from(i)).collect();
+            *self = Indices::Wide { a: wide(a), b: wide(b) };
+        }
+    }
+
+    /// `true` when every index points into a dictionary of `len` values.
+    fn all_below(&self, len: usize) -> bool {
+        fn below<I: DictIndex>(col: &[I], len: usize) -> bool {
+            col.iter().all(|&i| i.get() < len)
+        }
+        match self {
+            Indices::Narrow { a, b } => below(a, len) && below(b, len),
+            Indices::Wide { a, b } => below(a, len) && below(b, len),
+        }
+    }
+}
+
+/// Recording-time map from an operand bit pattern to its dictionary
+/// index: open-addressed with linear probing, at most half the slots in
+/// use. A slot holds index + 1 (0 marks it empty) and keys are compared
+/// through the dictionary, so a slot costs 4 bytes. A sealed trace drops
+/// the map; a later [`OpTrace::push`] rebuilds it from the dictionary.
+#[derive(Debug, Clone, Default)]
+struct ValueMap {
+    slots: Vec<u32>,
+}
+
+/// Slots allocated the first time a kind's map is used.
+const INITIAL_SLOTS: usize = 64;
+
+impl ValueMap {
+    /// The dictionary index of `value`, appended to `dict` if new.
+    #[inline]
+    fn intern(&mut self, dict: &mut Vec<u64>, value: u64) -> u32 {
+        if (dict.len() + 1) * 2 > self.slots.len() {
+            self.rebuild(dict);
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = home(value, mask);
+        loop {
+            match self.slots[slot] {
+                0 => {
+                    let index = u32::try_from(dict.len()).expect("dictionary fits u32 indices");
+                    dict.push(value);
+                    self.slots[slot] = index + 1;
+                    return index;
+                }
+                stored if dict[(stored - 1) as usize] == value => return stored - 1,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Re-place every dictionary entry in a table with room for one more.
+    fn rebuild(&mut self, dict: &[u64]) {
+        let slots = ((dict.len() + 1) * 2).next_power_of_two().max(INITIAL_SLOTS);
+        self.slots = vec![0; slots];
+        for (index, &value) in dict.iter().enumerate() {
+            let mut slot = home(value, slots - 1);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            self.slots[slot] = index as u32 + 1;
+        }
+    }
+}
+
+#[inline]
+fn home(value: u64, mask: usize) -> usize {
+    KeyHashBuilder::default().hash_one(value) as usize & mask
+}
+
+/// The operands of one kind: its distinct bit patterns in first-seen
+/// order, shared by both operands, and the index columns into them.
+#[derive(Debug, Clone, Default)]
+struct KindColumn {
+    dict: Vec<u64>,
+    idx: Indices,
+    map: ValueMap,
+}
+
+impl KindColumn {
+    fn len(&self) -> usize {
+        self.idx.len()
+    }
+
+    fn push(&mut self, binary: bool, a: u64, b: u64) {
+        let ia = self.map.intern(&mut self.dict, a);
+        let ib = if binary { self.map.intern(&mut self.dict, b) } else { 0 };
+        if self.dict.len() > NARROW_LIMIT {
+            self.idx.widen();
+        }
+        match &mut self.idx {
+            // Narrow columns only exist while every index fits 16 bits.
+            Indices::Narrow { a, b } => {
+                a.push(ia as u16);
+                if binary {
+                    b.push(ib as u16);
+                }
+            }
+            Indices::Wide { a, b } => {
+                a.push(ia);
+                if binary {
+                    b.push(ib);
+                }
+            }
+        }
+    }
+
+    /// Drop the recording map and spare capacity.
+    fn seal(&mut self) {
+        self.map = ValueMap::default();
+        self.dict.shrink_to_fit();
+        match &mut self.idx {
+            Indices::Narrow { a, b } => {
+                a.shrink_to_fit();
+                b.shrink_to_fit();
+            }
+            Indices::Wide { a, b } => {
+                a.shrink_to_fit();
+                b.shrink_to_fit();
+            }
+        }
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.dict.len() * 8 + self.idx.bytes()
+    }
+
+    /// Operation `i` of this kind.
+    #[inline]
+    fn op(&self, kind: OpKind, i: usize) -> Op {
+        let (a, b) = match &self.idx {
+            Indices::Narrow { a, b } => (a[i].get(), b.get(i).map(|j| j.get())),
+            Indices::Wide { a, b } => (a[i].get(), b.get(i).map(|j| j.get())),
+        };
+        op_from_bits(kind, self.dict[a], b.map_or(0, |b| self.dict[b]))
+    }
+
+    /// Decode operations `range` of this kind as tiles of `width` lanes
+    /// (only the last may be shorter).
+    fn tiles(
+        &self,
+        kind: OpKind,
+        range: Range<usize>,
+        width: usize,
+        tile: &mut Tile,
+        f: &mut impl FnMut(&OpBatch<'_>),
+    ) {
+        let binary = kind != OpKind::FpSqrt;
+        match &self.idx {
+            Indices::Narrow { a, b } => {
+                let b = if binary { &b[range.clone()] } else { &[] };
+                decode_tiles(kind, &self.dict, &a[range], b, width, tile, f);
+            }
+            Indices::Wide { a, b } => {
+                let b = if binary { &b[range.clone()] } else { &[] };
+                decode_tiles(kind, &self.dict, &a[range], b, width, tile, f);
+            }
+        }
+    }
+}
+
+/// Stack lane buffers that index columns decode into.
+struct Tile {
+    a: [u64; MAX_BATCH_WIDTH],
+    b: [u64; MAX_BATCH_WIDTH],
+}
+
+impl Tile {
+    fn new() -> Self {
+        Tile { a: [0; MAX_BATCH_WIDTH], b: [0; MAX_BATCH_WIDTH] }
+    }
+}
+
+/// Cut index columns into tiles of `width` (≤ [`MAX_BATCH_WIDTH`]) lanes,
+/// look each lane up in `dict`, and hand every tile to `f`. An empty `b`
+/// marks a unary kind.
+#[inline]
+fn decode_tiles<I: DictIndex>(
+    kind: OpKind,
+    dict: &[u64],
+    a: &[I],
+    b: &[I],
+    width: usize,
+    tile: &mut Tile,
+    f: &mut impl FnMut(&OpBatch<'_>),
+) {
+    let mut start = 0;
+    while start < a.len() {
+        let w = width.min(a.len() - start);
+        gather(dict, &a[start..start + w], &mut tile.a[..w]);
+        let tb: &[u64] = if b.is_empty() {
+            &[]
+        } else {
+            gather(dict, &b[start..start + w], &mut tile.b[..w]);
+            &tile.b[..w]
+        };
+        f(&OpBatch::new(kind, &tile.a[..w], tb));
+        start += w;
+    }
+}
+
+#[inline]
+fn gather<I: DictIndex>(dict: &[u64], idx: &[I], out: &mut [u64]) {
+    for (bits, &i) in out.iter_mut().zip(idx) {
+        *bits = dict[i.get()];
+    }
+}
+
+/// A compact, dictionary-coded trace of the arithmetic operand stream.
 ///
-/// Layout: kinds are run-length encoded (`KindRun`), first operands live in
-/// column `a`, second operands of binary operations in column `b` (square
-/// root consumes only `a`). Binary operations therefore cost 16 bytes,
-/// square roots 8, plus a few bytes amortized over each kind run.
+/// Layout: per [`OpKind`], a dictionary of the kind's distinct operand
+/// bit patterns (first-seen order, shared by both operands) and `a`/`b`
+/// index columns into it — `u16` while the dictionary holds at most
+/// 65,536 values, `u32` past that (square root has no `b` column). The
+/// kinds' order in the native stream lives only in the run-length-encoded
+/// run index (4 bytes per run of same-kind operations). A binary
+/// operation therefore costs 4 bytes of indices (8 once widened) plus its
+/// share of the dictionary and the run index.
+///
+/// Visitors come in two orders. [`iter`](Self::iter),
+/// [`to_ops`](Self::to_ops), [`replay_scalar`](Self::replay_scalar) and
+/// [`for_each_batch`](Self::for_each_batch) walk the native order across
+/// kinds. The warp visitors ([`for_each_warp`](Self::for_each_warp),
+/// [`for_each_kind_batch`](Self::for_each_kind_batch),
+/// [`for_each_kind`](Self::for_each_kind) and the replays built on them)
+/// walk one kind's columns at a time.
 #[derive(Debug, Clone, Default)]
 pub struct OpTrace {
     runs: Vec<KindRun>,
-    a: Vec<u64>,
-    b: Vec<u64>,
+    kinds: [KindColumn; 4],
     len: usize,
 }
 
@@ -87,15 +360,21 @@ impl OpTrace {
     pub fn push(&mut self, op: Op) {
         let kind = op.kind();
         let (a, b) = op.operand_bits();
-        self.a.push(a);
-        if kind != OpKind::FpSqrt {
-            self.b.push(b);
-        }
+        self.kinds[kind as usize].push(kind != OpKind::FpSqrt, a, b);
         match self.runs.last_mut() {
             Some(run) if run.kind() == kind && run.len() < MAX_RUN_LEN => run.0 += 1,
             _ => self.runs.push(KindRun::new(kind, 1)),
         }
         self.len += 1;
+    }
+
+    /// Drop the recording-time value maps and every column's spare
+    /// capacity.
+    fn seal(&mut self) {
+        self.runs.shrink_to_fit();
+        for column in &mut self.kinds {
+            column.seal();
+        }
     }
 
     /// Number of recorded operations.
@@ -113,22 +392,31 @@ impl OpTrace {
     /// Number of recorded operations of `kind`.
     #[must_use]
     pub fn count(&self, kind: OpKind) -> usize {
-        self.runs.iter().filter(|r| r.kind() == kind).map(|r| r.len() as usize).sum()
+        self.kinds[kind as usize].len()
     }
 
-    /// Approximate heap footprint in bytes (operand columns + run index).
+    /// Approximate heap footprint in bytes: dictionaries, index columns
+    /// and the run index (not the value maps that exist while recording).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        self.a.len() * 8 + self.b.len() * 8 + self.runs.len() * std::mem::size_of::<KindRun>()
+        self.runs.len() * std::mem::size_of::<KindRun>()
+            + self.kinds.iter().map(KindColumn::approx_bytes).sum::<usize>()
     }
 
     /// Iterate the operations in recorded order, reconstructed bit-exactly.
     pub fn iter(&self) -> OpIter<'_> {
-        OpIter { cursor: RunCursor::new(self), current: None, lane: 0, remaining: self.len }
+        OpIter {
+            trace: self,
+            runs: self.runs.iter(),
+            kind: OpKind::IntMul,
+            left: 0,
+            next: [0; 4],
+            remaining: self.len,
+        }
     }
 
     /// The trace as a contiguous operation list (for consumers that need a
-    /// slice, e.g. the divider-farm comparison).
+    /// slice).
     #[must_use]
     pub fn to_ops(&self) -> Vec<Op> {
         let mut ops = Vec::with_capacity(self.len());
@@ -159,84 +447,18 @@ impl OpTrace {
     /// Visit the trace as *warps*: same-kind operand tiles of `width`
     /// lanes (clamped to `1..=`[`MAX_BATCH_WIDTH`]).
     ///
-    /// Same-kind lanes are gathered across RLE run boundaries into
-    /// per-kind pending buffers and flushed as full-width tiles (short
-    /// interleaved runs — the common shape of per-pixel kernels — would
-    /// otherwise produce one- and two-lane tiles whose setup cost erases
-    /// the batching win). Each kind's lanes arrive in recorded order, so a
-    /// consumer that keeps one independent table per [`OpKind`] sees
-    /// exactly the per-table operand order of a scalar walk and every
-    /// statistic stays bit-identical to [`replay_scalar`](Self::replay_scalar);
-    /// only the interleaving *between* kinds changes. Partial warps left
-    /// at the end of the trace flush in [`OpKind::ALL`] order. Long runs
-    /// still stream zero-copy: whole-width tiles are sliced straight from
-    /// the operand columns and only run tails touch the gather buffers.
-    pub fn for_each_warp(&self, width: usize, f: impl FnMut(&OpBatch<'_>)) {
-        self.gather_warps(width, |_| true, f);
-    }
-
-    /// The warp-gathering loop behind [`for_each_warp`](Self::for_each_warp)
-    /// and [`for_each_kind_batch`](Self::for_each_kind_batch). Runs whose
-    /// kind `keep` rejects are skipped without touching their operands.
-    fn gather_warps(
-        &self,
-        width: usize,
-        keep: impl Fn(OpKind) -> bool,
-        mut f: impl FnMut(&OpBatch<'_>),
-    ) {
+    /// Each kind's index columns are cut into tiles of `width` lanes,
+    /// kinds in [`OpKind::ALL`] order; only a kind's last tile may be
+    /// shorter. Each kind's lanes arrive in recorded order, so a consumer
+    /// that keeps one independent table per [`OpKind`] sees exactly the
+    /// per-table operand order of a scalar walk and every statistic stays
+    /// bit-identical to [`replay_scalar`](Self::replay_scalar); only the
+    /// interleaving *between* kinds changes.
+    pub fn for_each_warp(&self, width: usize, mut f: impl FnMut(&OpBatch<'_>)) {
         let width = width.clamp(1, MAX_BATCH_WIDTH);
-        let mut pend_a = [[0u64; MAX_BATCH_WIDTH]; 4];
-        let mut pend_b = [[0u64; MAX_BATCH_WIDTH]; 4];
-        let mut fill = [0usize; 4];
-        let lane = |kind: OpKind| kind as usize;
-
-        let mut cursor = RunCursor::new(self);
-        while let Some(run) = cursor.next_run() {
-            let kind = run.kind();
-            if !keep(kind) {
-                continue;
-            }
-            let k = lane(kind);
-            let unary = kind == OpKind::FpSqrt;
-            let (ra, rb) = (run.a(), run.b());
-            let n = run.len();
-            let mut start = 0usize;
-
-            // Top up a pending warp before streaming whole tiles.
-            if fill[k] > 0 {
-                let take = (width - fill[k]).min(n);
-                pend_a[k][fill[k]..fill[k] + take].copy_from_slice(&ra[..take]);
-                if !unary {
-                    pend_b[k][fill[k]..fill[k] + take].copy_from_slice(&rb[..take]);
-                }
-                fill[k] += take;
-                start = take;
-                if fill[k] < width {
-                    continue; // run exhausted; warp still filling
-                }
-                let b = if unary { &[][..] } else { &pend_b[k][..width] };
-                f(&OpBatch::new(kind, &pend_a[k][..width], b));
-                fill[k] = 0;
-            }
-            while n - start >= width {
-                f(&run.slice(start, width));
-                start += width;
-            }
-            let rem = n - start;
-            if rem > 0 {
-                pend_a[k][..rem].copy_from_slice(&ra[start..]);
-                if !unary {
-                    pend_b[k][..rem].copy_from_slice(&rb[start..]);
-                }
-                fill[k] = rem;
-            }
-        }
-        for kind in OpKind::ALL {
-            let k = lane(kind);
-            if fill[k] > 0 {
-                let b = if kind == OpKind::FpSqrt { &[][..] } else { &pend_b[k][..fill[k]] };
-                f(&OpBatch::new(kind, &pend_a[k][..fill[k]], b));
-            }
+        let mut tile = Tile::new();
+        for (kind, column) in OpKind::ALL.into_iter().zip(&self.kinds) {
+            column.tiles(kind, 0..column.len(), width, &mut tile, &mut f);
         }
     }
 
@@ -257,99 +479,56 @@ impl OpTrace {
         });
     }
 
-    /// Visit the operations of `kind` in recorded order, decoded through
-    /// the shared run cursor.
+    /// Visit the operations of `kind` in recorded order, decoded from the
+    /// kind's own columns.
     pub fn for_each_kind(&self, kind: OpKind, mut f: impl FnMut(Op)) {
-        let mut cursor = RunCursor::new(self);
-        while let Some(run) = cursor.next_run() {
-            if run.kind() == kind {
-                decode_run(kind, run.a(), run.b(), &mut f);
-            }
-        }
+        self.for_each_kind_batch(kind, MAX_BATCH_WIDTH, |tile| {
+            decode_run(kind, tile.a(), tile.b(), &mut f);
+        });
     }
 
-    /// Visit the trace as same-kind operand tiles of at most `width` lanes.
+    /// Visit the trace in native order as same-kind operand tiles of at
+    /// most `width` lanes (clamped to `1..=`[`MAX_BATCH_WIDTH`]).
     ///
-    /// Each RLE run is expanded **once** into its structure-of-arrays
-    /// operand slices and then chunked; tiles never cross run boundaries,
-    /// so the final tile of a run may be partial (down to a single lane).
-    /// A zero `width` is treated as 1.
+    /// Tiles never cross run boundaries, so the final tile of a run may be
+    /// partial (down to a single lane).
     pub fn for_each_batch(&self, width: usize, mut f: impl FnMut(&OpBatch<'_>)) {
-        let width = width.max(1);
-        let mut cursor = RunCursor::new(self);
-        while let Some(run) = cursor.next_run() {
-            let n = run.len();
-            let mut start = 0;
-            while start < n {
-                let w = width.min(n - start);
-                f(&run.slice(start, w));
-                start += w;
-            }
+        let width = width.clamp(1, MAX_BATCH_WIDTH);
+        let mut tile = Tile::new();
+        let mut next = [0usize; 4];
+        for run in &self.runs {
+            let kind = run.kind();
+            let start = next[kind as usize];
+            let end = start + run.len() as usize;
+            self.kinds[kind as usize].tiles(kind, start..end, width, &mut tile, &mut f);
+            next[kind as usize] = end;
         }
     }
 
     /// Visit only the operations of `kind` as operand tiles of exactly
-    /// `width` lanes (clamped to [`MAX_BATCH_WIDTH`]; only the final tile
-    /// may be shorter): the warps of [`for_each_warp`](Self::for_each_warp)
-    /// of that kind. Runs of other kinds are skipped by the run index
-    /// without decoding their operands.
-    pub fn for_each_kind_batch(&self, kind: OpKind, width: usize, f: impl FnMut(&OpBatch<'_>)) {
-        self.gather_warps(width, |k| k == kind, f);
+    /// `width` lanes (clamped to `1..=`[`MAX_BATCH_WIDTH`]; only the final
+    /// tile may be shorter): the warps of
+    /// [`for_each_warp`](Self::for_each_warp) of that kind. Other kinds'
+    /// columns are not touched.
+    pub fn for_each_kind_batch(&self, kind: OpKind, width: usize, mut f: impl FnMut(&OpBatch<'_>)) {
+        let width = width.clamp(1, MAX_BATCH_WIDTH);
+        let column = &self.kinds[kind as usize];
+        column.tiles(kind, 0..column.len(), width, &mut Tile::new(), &mut f);
     }
 
     /// Replay the trace as [`Event::Arith`] events into an arbitrary sink
-    /// (e.g. the fault-tolerance differential checker). Tiled through
-    /// [`EventSink::record_arith_batch`] so batching-aware sinks (the cycle
-    /// accountant) charge per run, while plain sinks see the usual per-op
-    /// `record` calls via the trait default.
+    /// (e.g. the fault-tolerance differential checker), in native order.
+    /// Tiled through [`EventSink::record_arith_batch`] so batching-aware
+    /// sinks (the cycle accountant) charge per run, while plain sinks see
+    /// the usual per-op `record` calls via the trait default.
     pub fn replay_events<S: EventSink>(&self, sink: &mut S) {
         self.for_each_batch(MAX_BATCH_WIDTH, |tile| sink.record_arith_batch(tile));
     }
 
     fn for_each(&self, mut f: impl FnMut(Op)) {
-        let mut cursor = RunCursor::new(self);
-        while let Some(run) = cursor.next_run() {
-            decode_run(run.kind(), run.a(), run.b(), &mut f);
-        }
-    }
-}
-
-/// Shared RLE decoder over an [`OpTrace`]: resolves one kind run at a time
-/// into its structure-of-arrays operand slices.
-///
-/// Every consumer — the batch visitors, the scalar [`OpIter`], `for_each`
-/// — draws whole runs from this cursor, so run expansion (kind decode and
-/// operand-column slicing) happens once per *run*, not once per operation.
-#[derive(Debug, Clone)]
-struct RunCursor<'a> {
-    trace: &'a OpTrace,
-    run: usize,
-    ai: usize,
-    bi: usize,
-}
-
-impl<'a> RunCursor<'a> {
-    fn new(trace: &'a OpTrace) -> Self {
-        RunCursor { trace, run: 0, ai: 0, bi: 0 }
-    }
-
-    /// Decode the next run into a whole-run operand batch (zero copies —
-    /// the batch borrows the trace's columns).
-    fn next_run(&mut self) -> Option<OpBatch<'a>> {
-        let run = self.trace.runs.get(self.run)?;
-        self.run += 1;
-        let kind = run.kind();
-        let n = run.len() as usize;
-        let a = &self.trace.a[self.ai..self.ai + n];
-        self.ai += n;
-        let b = if kind == OpKind::FpSqrt {
-            &[][..]
-        } else {
-            let b = &self.trace.b[self.bi..self.bi + n];
-            self.bi += n;
-            b
-        };
-        Some(OpBatch::new(kind, a, b))
+        self.for_each_batch(MAX_BATCH_WIDTH, |tile| {
+            decode_run(tile.kind(), tile.a(), tile.b(), &mut f);
+        });
     }
 }
 
@@ -367,8 +546,10 @@ pub enum TraceDecodeError {
     },
     /// The buffer is shorter than its own headers claim.
     Truncated,
-    /// The decoded structure is internally inconsistent (run lengths do
-    /// not sum to the operation count, or operand columns are missized).
+    /// The decoded structure is internally inconsistent: run lengths do
+    /// not sum to the operation count, a column's length disagrees with
+    /// the runs, an index points past its dictionary, or bytes trail the
+    /// data.
     Inconsistent,
 }
 
@@ -389,106 +570,178 @@ impl std::error::Error for TraceDecodeError {}
 
 /// Serialization format version written by [`OpTrace::to_bytes`]. Bump on
 /// any layout change so stale persisted traces invalidate cleanly.
-pub const OP_TRACE_VERSION: u16 = 1;
+pub const OP_TRACE_VERSION: u16 = 2;
 
 const OP_TRACE_MAGIC: &[u8; 4] = b"MTRV";
 
+/// A bounds-checked little-endian reader over a serialized trace.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceDecodeError> {
+        if self.0.len() < n {
+            return Err(TraceDecodeError::Truncated);
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// `count` items of `size` bytes each.
+    fn items(&mut self, count: usize, size: usize) -> Result<&'a [u8], TraceDecodeError> {
+        self.take(count.checked_mul(size).ok_or(TraceDecodeError::Truncated)?)
+    }
+
+    fn u32(&mut self) -> Result<u32, TraceDecodeError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    }
+
+    fn u64(&mut self) -> Result<u64, TraceDecodeError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+}
+
 impl OpTrace {
-    /// Serialize to a self-describing byte buffer: magic, version tag,
-    /// then the SoA columns verbatim (RLE kind runs, operand columns).
-    /// The encoding is little-endian and platform-independent.
+    /// Serialize to a self-describing little-endian byte buffer:
+    ///
+    /// * magic, version tag, operation count (`u64`), run count (`u32`),
+    ///   then the packed kind runs (`u32` each);
+    /// * per kind in [`OpKind::ALL`] order: its operation count and
+    ///   dictionary length (`u32` each), the dictionary (`u64` each), then
+    ///   the `a` and (binary kinds only) `b` index columns — 2 bytes an
+    ///   index when the dictionary holds at most 65,536 values, else 4.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(26 + self.runs.len() * 4 + (self.a.len() + self.b.len()) * 8);
+        fn put_u32(out: &mut Vec<u8>, n: usize) {
+            out.extend_from_slice(&u32::try_from(n).expect("count fits u32").to_le_bytes());
+        }
+        let mut out = Vec::with_capacity(18 + 32 + self.approx_bytes());
         out.extend_from_slice(OP_TRACE_MAGIC);
         out.extend_from_slice(&OP_TRACE_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        out.extend_from_slice(&(u32::try_from(self.runs.len()).expect("runs fit u32")).to_le_bytes());
-        out.extend_from_slice(&(u32::try_from(self.a.len()).expect("column fits u32")).to_le_bytes());
-        out.extend_from_slice(&(u32::try_from(self.b.len()).expect("column fits u32")).to_le_bytes());
+        put_u32(&mut out, self.runs.len());
         for run in &self.runs {
             out.extend_from_slice(&run.0.to_le_bytes());
         }
-        for &a in &self.a {
-            out.extend_from_slice(&a.to_le_bytes());
-        }
-        for &b in &self.b {
-            out.extend_from_slice(&b.to_le_bytes());
+        for column in &self.kinds {
+            put_u32(&mut out, column.len());
+            put_u32(&mut out, column.dict.len());
+            for value in &column.dict {
+                out.extend_from_slice(&value.to_le_bytes());
+            }
+            match &column.idx {
+                Indices::Narrow { a, b } => {
+                    debug_assert!(column.dict.len() <= NARROW_LIMIT);
+                    for i in a.iter().chain(b) {
+                        out.extend_from_slice(&i.to_le_bytes());
+                    }
+                }
+                Indices::Wide { a, b } => {
+                    debug_assert!(column.dict.len() > NARROW_LIMIT);
+                    for i in a.iter().chain(b) {
+                        out.extend_from_slice(&i.to_le_bytes());
+                    }
+                }
+            }
         }
         out
     }
 
     /// Deserialize a buffer produced by [`to_bytes`](Self::to_bytes),
-    /// validating the version tag and the structural invariants (run
-    /// lengths sum to the operation count, operand columns are exactly
-    /// the sizes the runs imply).
+    /// validating the version tag and the structural invariants: run
+    /// lengths sum to the operation count, each kind's columns are exactly
+    /// as long as its runs, every index points into its dictionary, and no
+    /// bytes trail the data.
     ///
     /// # Errors
     ///
     /// [`TraceDecodeError`] on any mismatch — treat as "record natively".
     pub fn from_bytes(bytes: &[u8]) -> Result<OpTrace, TraceDecodeError> {
-        if bytes.len() < 6 {
-            return Err(TraceDecodeError::Truncated);
-        }
-        if &bytes[..4] != OP_TRACE_MAGIC {
+        let mut r = Reader(bytes);
+        if r.take(4)? != OP_TRACE_MAGIC {
             return Err(TraceDecodeError::WrongMagic);
         }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
+        let version = u16::from_le_bytes(r.take(2)?.try_into().expect("2 bytes"));
         if version != OP_TRACE_VERSION {
             return Err(TraceDecodeError::WrongVersion { found: version });
         }
-        let rest = &bytes[6..];
-        if rest.len() < 20 {
-            return Err(TraceDecodeError::Truncated);
-        }
-        let len = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
-        let len = usize::try_from(len).map_err(|_| TraceDecodeError::Inconsistent)?;
-        let nruns = u32::from_le_bytes(rest[8..12].try_into().expect("4 bytes")) as usize;
-        let na = u32::from_le_bytes(rest[12..16].try_into().expect("4 bytes")) as usize;
-        let nb = u32::from_le_bytes(rest[16..20].try_into().expect("4 bytes")) as usize;
-        let body = &rest[20..];
-        let need = nruns
-            .checked_mul(4)
-            .and_then(|r| (na + nb).checked_mul(8).map(|c| (r, c)))
-            .and_then(|(r, c)| r.checked_add(c))
-            .ok_or(TraceDecodeError::Inconsistent)?;
-        if body.len() != need {
-            return Err(TraceDecodeError::Truncated);
-        }
-        let runs: Vec<KindRun> = body[..nruns * 4]
+        let len = usize::try_from(r.u64()?).map_err(|_| TraceDecodeError::Inconsistent)?;
+        let nruns = r.u32()? as usize;
+        let runs: Vec<KindRun> = r
+            .items(nruns, 4)?
             .chunks_exact(4)
             .map(|c| KindRun(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
             .collect();
-        let a: Vec<u64> = body[nruns * 4..nruns * 4 + na * 8]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        let b: Vec<u64> = body[nruns * 4 + na * 8..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        // Structural invariants: run lengths sum to `len`, column sizes
-        // are exactly what the runs imply (sqrt consumes only column a).
-        let mut total = 0usize;
-        let mut binary = 0usize;
+        let mut per_kind = [0usize; 4];
         for run in &runs {
-            let n = run.len() as usize;
-            if n == 0 {
+            if run.len() == 0 {
                 return Err(TraceDecodeError::Inconsistent);
             }
-            total += n;
-            if run.kind() != OpKind::FpSqrt {
-                binary += n;
-            }
+            per_kind[run.kind() as usize] += run.len() as usize;
         }
-        if total != len || a.len() != len || b.len() != binary {
+        if per_kind.iter().sum::<usize>() != len {
             return Err(TraceDecodeError::Inconsistent);
         }
-        Ok(OpTrace { runs, a, b, len })
+
+        let mut kinds: [KindColumn; 4] = Default::default();
+        for ((kind, column), &count) in OpKind::ALL.into_iter().zip(&mut kinds).zip(&per_kind) {
+            let binary = kind != OpKind::FpSqrt;
+            let operands = if binary { 2 } else { 1 };
+            if r.u32()? as usize != count {
+                return Err(TraceDecodeError::Inconsistent);
+            }
+            // A recording interns only the values it pushes.
+            let dict_len = r.u32()? as usize;
+            if dict_len > count * operands {
+                return Err(TraceDecodeError::Inconsistent);
+            }
+            column.dict = r
+                .items(dict_len, 8)?
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+                .collect();
+            let b_count = if binary { count } else { 0 };
+            column.idx = if dict_len > NARROW_LIMIT {
+                let mut col = |n| -> Result<Vec<u32>, TraceDecodeError> {
+                    Ok(r.items(n, 4)?
+                        .chunks_exact(4)
+                        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+                        .collect())
+                };
+                Indices::Wide { a: col(count)?, b: col(b_count)? }
+            } else {
+                let mut col = |n| -> Result<Vec<u16>, TraceDecodeError> {
+                    Ok(r.items(n, 2)?
+                        .chunks_exact(2)
+                        .map(|c| u16::from_le_bytes(c.try_into().expect("2 bytes")))
+                        .collect())
+                };
+                Indices::Narrow { a: col(count)?, b: col(b_count)? }
+            };
+            if !column.idx.all_below(dict_len) {
+                return Err(TraceDecodeError::Inconsistent);
+            }
+        }
+        if !r.0.is_empty() {
+            return Err(TraceDecodeError::Inconsistent);
+        }
+        Ok(OpTrace { runs, kinds, len })
     }
 }
 
-/// Decode one same-kind run from its operand slices. The kind match is
+/// One operation from its operand bit patterns (`b` ignored for square
+/// root).
+#[inline]
+fn op_from_bits(kind: OpKind, a: u64, b: u64) -> Op {
+    match kind {
+        OpKind::IntMul => Op::IntMul(a as i64, b as i64),
+        OpKind::FpMul => Op::FpMul(f64::from_bits(a), f64::from_bits(b)),
+        OpKind::FpDiv => Op::FpDiv(f64::from_bits(a), f64::from_bits(b)),
+        OpKind::FpSqrt => Op::FpSqrt(f64::from_bits(a)),
+    }
+}
+
+/// Decode one same-kind tile from its operand slices. The kind match is
 /// hoisted out of the operand loop and the zipped slices elide the
 /// per-operand bounds checks of indexed decoding.
 #[inline]
@@ -517,18 +770,19 @@ fn decode_run(kind: OpKind, a: &[u64], b: &[u64], f: &mut impl FnMut(Op)) {
     }
 }
 
-/// Iterator over the operations of an [`OpTrace`].
+/// Iterator over the operations of an [`OpTrace`] in recorded order.
 ///
-/// A thin wrapper over the shared [`RunCursor`]: each RLE run is expanded
-/// into operand slices once (the same decode the batch visitors use) and
-/// lanes are then rebuilt by slice index — the per-op `next()` no longer
-/// carries run-state bookkeeping.
+/// Follows the run index across kinds and keeps one read position per
+/// kind's columns.
 #[derive(Debug)]
 pub struct OpIter<'a> {
-    cursor: RunCursor<'a>,
-    /// The run currently being yielded; lanes `< lane` are consumed.
-    current: Option<OpBatch<'a>>,
-    lane: usize,
+    trace: &'a OpTrace,
+    runs: std::slice::Iter<'a, KindRun>,
+    /// Kind of the current run, and its operations not yet yielded.
+    kind: OpKind,
+    left: usize,
+    /// Next unread position in each kind's columns.
+    next: [usize; 4],
     remaining: usize,
 }
 
@@ -537,18 +791,17 @@ impl Iterator for OpIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Op> {
-        loop {
-            if let Some(run) = &self.current {
-                if self.lane < run.len() {
-                    let op = run.op(self.lane);
-                    self.lane += 1;
-                    self.remaining -= 1;
-                    return Some(op);
-                }
-            }
-            self.current = Some(self.cursor.next_run()?);
-            self.lane = 0;
+        while self.left == 0 {
+            let run = self.runs.next()?;
+            self.kind = run.kind();
+            self.left = run.len() as usize;
         }
+        self.left -= 1;
+        self.remaining -= 1;
+        let k = self.kind as usize;
+        let i = self.next[k];
+        self.next[k] += 1;
+        Some(self.trace.kinds[k].op(self.kind, i))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -572,9 +825,11 @@ impl TraceRecorderSink {
         Self::default()
     }
 
-    /// Finish recording and take the trace.
+    /// Finish recording and take the trace, without the recording-time
+    /// value maps or spare column capacity.
     #[must_use]
-    pub fn into_trace(self) -> OpTrace {
+    pub fn into_trace(mut self) -> OpTrace {
+        self.trace.seal();
         self.trace
     }
 
@@ -774,6 +1029,7 @@ impl EventSink for EventTrace {
 mod tests {
     use super::*;
     use crate::event::{CountingSink, TraceBuffer};
+    use memo_table::rng::SplitMix64;
     use memo_table::{MemoConfig, MemoTable};
 
     fn sample_ops() -> Vec<Op> {
@@ -846,8 +1102,10 @@ mod tests {
 
     #[test]
     fn memory_bound_is_16_bytes_per_op() {
-        // Kernel inner loops emit bursts of same-kind operations; the run
-        // index amortizes to well under a byte per op.
+        // Kernel inner loops emit bursts of same-kind operations over few
+        // distinct values: a binary op costs its two u16 indices, and the
+        // dictionaries and the run index amortize to a fifth of a byte
+        // (4.19 B/op in all on this stream).
         let mut trace = OpTrace::new();
         for burst in 0..200i64 {
             for i in 0..64 {
@@ -858,7 +1116,7 @@ mod tests {
             }
         }
         let per_op = trace.approx_bytes() as f64 / trace.len() as f64;
-        assert!(per_op <= 16.1, "got {per_op} bytes/op");
+        assert!(per_op <= 4.2, "got {per_op} bytes/op");
     }
 
     #[test]
@@ -941,6 +1199,16 @@ mod tests {
             OpTrace::from_bytes(&inconsistent),
             Err(TraceDecodeError::Inconsistent)
         ));
+        // The last two bytes are the one square root's u16 index into its
+        // one-value dictionary: point it past the dictionary.
+        let mut past_dict = bytes.clone();
+        let n = past_dict.len();
+        past_dict[n - 2..].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(OpTrace::from_bytes(&past_dict), Err(TraceDecodeError::Inconsistent)));
+        // A byte after the data.
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(matches!(OpTrace::from_bytes(&trailing), Err(TraceDecodeError::Inconsistent)));
     }
 
     #[test]
@@ -954,5 +1222,227 @@ mod tests {
         iter.next();
         assert_eq!(iter.len(), 7);
         assert_eq!(iter.count(), 7);
+    }
+
+    /// Operand bit patterns that must survive the dictionary exactly:
+    /// both zeros (the second is also `i64::MIN`), NaNs with distinct
+    /// payloads, infinities, denormals and integer extremes.
+    const SPECIAL: [u64; 12] = [
+        0x0000_0000_0000_0000, // +0.0, 0
+        0x8000_0000_0000_0000, // -0.0, i64::MIN
+        0x7FF8_0000_0000_0000, // quiet NaN
+        0x7FF8_0000_0000_0001, // NaN, another payload
+        0xFFF4_0000_0000_0000, // negative signalling NaN
+        0x7FF0_0000_0000_0000, // +inf
+        0xFFF0_0000_0000_0000, // -inf
+        0x0000_0000_0000_0001, // smallest denormal
+        0x800F_FFFF_FFFF_FFFF, // largest-magnitude negative denormal
+        0x7FFF_FFFF_FFFF_FFFF, // i64::MAX, a NaN as f64
+        0xFFFF_FFFF_FFFF_FFFF, // -1, a NaN as f64
+        0x3FF0_0000_0000_0000, // 1.0
+    ];
+
+    /// A seeded stream over all four kinds, in same-kind bursts of 1–12
+    /// operations. Operands mix [`SPECIAL`] patterns, a small reused pool
+    /// and random bits. With `fresh`, half the bursts are fmul whose every
+    /// operand is new, so fmul's dictionary passes 65,536 values
+    /// mid-stream.
+    fn seeded_stream(seed: u64, len: usize, fresh: bool) -> Vec<Op> {
+        let mut rng = SplitMix64::new(seed).split("optrace-format");
+        let mut next_fresh = 0u64;
+        let mut ops = Vec::with_capacity(len);
+        while ops.len() < len {
+            let kind = if fresh && rng.next_below(2) == 0 {
+                None
+            } else {
+                Some(OpKind::ALL[rng.next_below(4) as usize])
+            };
+            for _ in 0..1 + rng.next_below(12) {
+                let mut operand = || match rng.next_below(4) {
+                    0 => SPECIAL[rng.next_below(SPECIAL.len() as u64) as usize],
+                    1 => rng.next_u64(),
+                    _ => (rng.next_below(40) as f64 * 0.25).to_bits(),
+                };
+                let (a, b) = (operand(), operand());
+                ops.push(match kind {
+                    Some(OpKind::IntMul) => Op::IntMul(a as i64, b as i64),
+                    Some(OpKind::FpMul) => Op::FpMul(f64::from_bits(a), f64::from_bits(b)),
+                    Some(OpKind::FpDiv) => Op::FpDiv(f64::from_bits(a), f64::from_bits(b)),
+                    Some(OpKind::FpSqrt) => Op::FpSqrt(f64::from_bits(a)),
+                    None => {
+                        next_fresh += 2;
+                        let base = 0x4000_0000_0000_0000 + next_fresh;
+                        Op::FpMul(f64::from_bits(base), f64::from_bits(base + 1))
+                    }
+                });
+            }
+        }
+        ops
+    }
+
+    fn bits(op: &Op) -> (OpKind, (u64, u64)) {
+        (op.kind(), op.operand_bits())
+    }
+
+    /// Panic at the first operation where `got` and `want` differ in kind
+    /// or bits, naming the seed.
+    fn assert_same_ops(seed: u64, what: &str, got: impl IntoIterator<Item = Op>, want: &[Op]) {
+        let got: Vec<Op> = got.into_iter().collect();
+        if let Some(i) = got.iter().zip(want).position(|(g, w)| bits(g) != bits(w)) {
+            panic!("seed {seed}, {what}: op {i} is {:?}, want {:?}", got[i], want[i]);
+        }
+        assert_eq!(got.len(), want.len(), "seed {seed}, {what}: length");
+    }
+
+    fn record(ops: &[Op]) -> OpTrace {
+        let mut rec = TraceRecorderSink::new();
+        for &op in ops {
+            rec.record(Event::Arith(op));
+        }
+        rec.into_trace()
+    }
+
+    fn is_wide(trace: &OpTrace, kind: OpKind) -> bool {
+        matches!(trace.kinds[kind as usize].idx, Indices::Wide { .. })
+    }
+
+    /// Seeds 0..16 are short narrow streams; 100 and 101 also widen fmul.
+    fn seeded_cases() -> impl Iterator<Item = (u64, Vec<Op>)> {
+        let narrow = (0..16).map(|seed| (seed, seeded_stream(seed, 3_000, false)));
+        let wide = (100..102).map(|seed| (seed, seeded_stream(seed, 80_000, true)));
+        narrow.chain(wide)
+    }
+
+    #[test]
+    fn seeded_streams_come_back_bit_for_bit_in_order() {
+        for (seed, ops) in seeded_cases() {
+            let trace = record(&ops);
+            assert_eq!(trace.len(), ops.len(), "seed {seed}");
+            for kind in OpKind::ALL {
+                let want = ops.iter().filter(|op| op.kind() == kind).count();
+                assert_eq!(trace.count(kind), want, "seed {seed}, {kind}: count");
+                assert_eq!(
+                    is_wide(&trace, kind),
+                    seed >= 100 && kind == OpKind::FpMul,
+                    "seed {seed}, {kind}: width"
+                );
+            }
+            assert_same_ops(seed, "iter", trace.iter(), &ops);
+            assert_same_ops(seed, "to_ops", trace.to_ops(), &ops);
+            let mut native = Vec::new();
+            trace.for_each_batch(MAX_BATCH_WIDTH, |tile| {
+                native.extend((0..tile.len()).map(|i| tile.op(i)))
+            });
+            assert_same_ops(seed, "for_each_batch", native, &ops);
+        }
+    }
+
+    #[test]
+    fn warps_are_each_kinds_stream_cut_to_width() {
+        for (seed, ops) in seeded_cases() {
+            let trace = record(&ops);
+            for width in [1, 7, 64] {
+                let mut warps: [Vec<Vec<Op>>; 4] = Default::default();
+                trace.for_each_warp(width, |warp| {
+                    warps[warp.kind() as usize].push((0..warp.len()).map(|i| warp.op(i)).collect());
+                });
+                for kind in OpKind::ALL {
+                    let stream: Vec<Op> =
+                        ops.iter().copied().filter(|op| op.kind() == kind).collect();
+                    let want: Vec<&[Op]> = stream.chunks(width).collect();
+                    let got = &warps[kind as usize];
+                    let what = format!("width {width}, {kind}");
+                    assert_eq!(got.len(), want.len(), "seed {seed}, {what}: tile count");
+                    for (t, (got, want)) in got.iter().zip(&want).enumerate() {
+                        assert_same_ops(
+                            seed,
+                            &format!("{what}, tile {t}"),
+                            got.iter().copied(),
+                            want,
+                        );
+                    }
+                    let mut tiles = Vec::new();
+                    trace.for_each_kind_batch(kind, width, |tile| tiles.push(tile.len()));
+                    let lens: Vec<usize> = want.iter().map(|t| t.len()).collect();
+                    assert_eq!(tiles, lens, "seed {seed}, {what}: for_each_kind_batch tiles");
+                    let mut each = Vec::new();
+                    trace.for_each_kind(kind, |op| each.push(op));
+                    assert_same_ops(seed, &format!("{kind}: for_each_kind"), each, &stream);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bytes_round_trip_before_and_after_widening() {
+        for (seed, ops) in seeded_cases() {
+            // The longest prefix whose fmul dictionary still fits u16.
+            let mut rec = TraceRecorderSink::new();
+            let mut cut = 0;
+            while cut < ops.len() {
+                rec.record(Event::Arith(ops[cut]));
+                if rec.trace().kinds[OpKind::FpMul as usize].dict.len() > NARROW_LIMIT {
+                    break;
+                }
+                cut += 1;
+            }
+            let wide = seed >= 100;
+            assert_eq!(cut < ops.len(), wide, "seed {seed}: widening point");
+            let mut cases = vec![(&ops[..cut], false)];
+            if wide {
+                cases.push((&ops[..], true));
+            }
+            for (prefix, widened) in cases {
+                let what = format!("{} ops", prefix.len());
+                let trace = record(prefix);
+                let bytes = trace.to_bytes();
+                let back = OpTrace::from_bytes(&bytes)
+                    .unwrap_or_else(|e| panic!("seed {seed}, {what}: {e}"));
+                assert_eq!(is_wide(&back, OpKind::FpMul), widened, "seed {seed}, {what}: width");
+                assert_same_ops(seed, &what, back.iter(), prefix);
+                assert!(back.to_bytes() == bytes, "seed {seed}, {what}: re-encoding differs");
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_archives_are_rejected_or_replay_safely() {
+        // Flipped bits in dictionary values decode to other operands (the
+        // store checksums its blobs); anywhere else they must be rejected,
+        // and whatever decodes must replay without a panic.
+        let mut decoded = 0;
+        for seed in 0..64 {
+            let bytes = record(&seeded_stream(seed, 400, false)).to_bytes();
+            let mut rng = SplitMix64::new(seed).split("damage");
+            let mut damaged = bytes.clone();
+            for _ in 0..1 + rng.next_below(4) {
+                let i = rng.next_below(damaged.len() as u64) as usize;
+                damaged[i] ^= 1 << rng.next_below(8);
+            }
+            if let Ok(trace) = OpTrace::from_bytes(&damaged) {
+                let mut bank = MemoBank::paper_default();
+                trace.replay(&mut bank);
+                trace.replay_scalar(&mut bank);
+                trace.replay_events(&mut CountingSink::new());
+                assert_eq!(trace.iter().count(), trace.len(), "seed {seed}");
+                decoded += 1;
+            }
+        }
+        // Both outcomes occur, so both branches were exercised.
+        assert!(0 < decoded && decoded < 64, "{decoded} of 64 damaged archives decoded");
+    }
+
+    #[test]
+    fn pushing_onto_a_decoded_trace_reuses_its_dictionary() {
+        let ops = seeded_stream(7, 500, false);
+        let mut trace = OpTrace::from_bytes(&record(&ops).to_bytes()).unwrap();
+        let before: Vec<usize> = trace.kinds.iter().map(|k| k.dict.len()).collect();
+        for &op in &ops {
+            trace.push(op);
+        }
+        let after: Vec<usize> = trace.kinds.iter().map(|k| k.dict.len()).collect();
+        assert_eq!(before, after, "seed 7: replayed values are already in the dictionaries");
+        let twice: Vec<Op> = ops.iter().chain(&ops).copied().collect();
+        assert_same_ops(7, "pushed twice", trace.iter(), &twice);
     }
 }

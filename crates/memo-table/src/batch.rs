@@ -5,15 +5,18 @@
 //! construction, a virtual dispatch, and a full policy-branch cascade per
 //! operation. An [`OpBatch`] instead presents a *lane tile*: one operation
 //! kind and two borrowed operand columns (`a`/`b` as raw bit patterns),
-//! exactly the layout the RLE-run trace format already stores. Batched
+//! the layout a recorded trace decodes each kind's operations into. Batched
 //! consumers hoist the per-kind and per-policy dispatch out of the lane
 //! loop, precompute set indices and trivial masks in plain
 //! autovectorizable loops over the columns, and fall back to scalar code
 //! only where the table state itself is serial (conflict resolution, LRU
 //! updates, insertions).
 //!
-//! Lanes within a batch are always the same kind — batches never straddle
-//! an RLE run boundary — and a partial tail batch is just a shorter tile.
+//! Lanes within a batch are always the same kind and in that kind's
+//! recorded order. Trace replay cuts each kind's operations into tiles
+//! regardless of how the native stream interleaved the kinds (a tile may
+//! span many runs of that kind); the native-order visitors cut tiles
+//! within one run. A partial tail batch is just a shorter tile.
 //! `std::simd` is nightly-only, so the lane loops are written as scalar
 //! loops over slices that the optimizer can vectorize; correctness never
 //! depends on vectorization.
