@@ -123,10 +123,14 @@ pub fn pipeline_study(cfg: ExpConfig) -> Result<Vec<PipelineRow>, ExperimentErro
 /// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
 pub fn divider_farm_study(cfg: ExpConfig) -> Result<FarmComparison, ExperimentError> {
     let traces = sample_traces(cfg)?;
-    // Streamed straight from the recordings: the farms skip everything
-    // but the divisions, so the sample's operations are never collected.
-    let ops = traces.iter().flat_map(|app_traces| app_traces.iter()).flat_map(|t| t.iter());
-    Ok(compare_divider_farms(&CpuModel::paper_slow(), MemoConfig::paper_default(), ops))
+    // Streamed one recording at a time, so the sample's divisions are
+    // never collected as a whole.
+    let divisions = traces.iter().flat_map(|app_traces| app_traces.iter()).flat_map(|trace| {
+        let mut ops = Vec::with_capacity(trace.count(OpKind::FpDiv));
+        trace.for_each_kind(OpKind::FpDiv, |op| ops.push(op));
+        ops
+    });
+    Ok(compare_divider_farms(&CpuModel::paper_slow(), MemoConfig::paper_default(), divisions))
 }
 
 /// Render both future-work studies.

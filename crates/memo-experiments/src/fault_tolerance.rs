@@ -129,12 +129,6 @@ impl DiffSink {
     pub fn bank(&self) -> &MemoBank {
         &self.bank
     }
-
-    /// Tear down the sink and keep the bank.
-    #[must_use]
-    pub fn into_bank(self) -> MemoBank {
-        self.bank
-    }
 }
 
 impl EventSink for DiffSink {
@@ -488,22 +482,23 @@ pub struct BreakerDemo {
 /// behind a circuit breaker: every slot should exceed the detection
 /// threshold and be taken offline, degrading to the conventional unit.
 ///
-/// The recordings replay in the order the native loops ran them, except
-/// that a recording in which every kind present has already tripped is
+/// The recordings replay straight into the bank, in the order the native
+/// loops ran them; [`MemoBank::execute_batch`] checks the breaker lane by
+/// lane, so each slot trips on the operation a live run would trip it on.
+/// A recording in which every kind present has already tripped is
 /// skipped. That is exact: a tripped table is never consulted again, and
 /// the demo reports only trips and detections.
 #[must_use]
 pub fn breaker_demo(cfg: ExpConfig) -> BreakerDemo {
     let threshold = 8;
-    let bank = faulty_bank(Protection::ParityDetect, 0.5, 0xB2EA).with_circuit_breaker(threshold);
-    let mut sink = DiffSink::new(bank);
+    let mut bank =
+        faulty_bank(Protection::ParityDetect, 0.5, 0xB2EA).with_circuit_breaker(threshold);
     for trace in Recordings::fetch(cfg).walk() {
-        let live = |kind| trace.count(kind) > 0 && !sink.bank().breaker_tripped(kind);
+        let live = |kind| trace.count(kind) > 0 && !bank.breaker_tripped(kind);
         if MEMO_KINDS.into_iter().any(live) {
-            trace.replay_events(&mut sink);
+            trace.replay(&mut bank);
         }
     }
-    let bank = sink.into_bank();
     let tripped = MEMO_KINDS.iter().filter(|&&k| bank.breaker_tripped(k)).count();
     let detected = MEMO_KINDS
         .iter()
@@ -666,19 +661,26 @@ pub fn render(cfg: ExpConfig) -> Result<String, ExperimentError> {
 mod tests {
     use super::*;
 
+    /// Feed `sink` one [`Event::Arith`] per recorded operation, kind by
+    /// kind. The [`DiffSink`] only observes arithmetic, and its bank's
+    /// tables never interact, so this reproduces its counters exactly.
+    fn replay_ops(trace: &OpTrace, sink: &mut DiffSink) {
+        for kind in MEMO_KINDS {
+            trace.for_each_kind(kind, |op| sink.record(Event::Arith(op)));
+        }
+    }
+
     /// Replay every kernel of both suites — recorded once, process-wide —
-    /// into `sink`, in the same order the native loops ran them (MM apps
-    /// over the corpus, then the scientific suites). The [`DiffSink`]
-    /// only observes arithmetic events, so an operand-trace replay
-    /// reproduces its counters exactly.
-    fn replay_suites(cfg: ExpConfig, sink: &mut impl EventSink) {
+    /// into `sink`, in the order the native loops ran them (MM apps over
+    /// the corpus, then the scientific suites).
+    fn replay_suites(cfg: ExpConfig, sink: &mut DiffSink) {
         for app in &mm::apps() {
             for trace in traces::mm_traces(cfg, app).iter() {
-                trace.replay_events(sink);
+                replay_ops(trace, sink);
             }
         }
         for app in &sci::all_apps() {
-            traces::sci_trace(cfg, app).replay_events(sink);
+            replay_ops(&traces::sci_trace(cfg, app), sink);
         }
     }
 
@@ -692,7 +694,7 @@ mod tests {
         for name in SPEEDUP_SAMPLE {
             let app = mm::find(name).expect("sample registered");
             for trace in traces::mm_traces(cfg, &app).iter() {
-                trace.replay_events(sink);
+                replay_ops(trace, sink);
             }
         }
     }

@@ -402,7 +402,7 @@ mod tests {
     #[test]
     fn format_tag_is_stable_and_self_describing() {
         assert_eq!(format_tag(), format_tag());
-        assert!(format_tag().contains("optrace=v2"));
+        assert!(format_tag().contains("optrace=v3"));
         assert!(format_tag().contains("canary="));
     }
 }

@@ -339,7 +339,8 @@ mod tests {
 
     #[test]
     fn save_and_load_via_files() {
-        let dir = std::env::temp_dir().join("memo_imaging_io_test");
+        let dir =
+            std::env::temp_dir().join(format!("memo_imaging_io_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.pgm");
         let mut rng = SplitMix64::new(6);
@@ -347,6 +348,6 @@ mod tests {
         save_pnm(&img, &path).unwrap();
         let back = load_pnm(&path).unwrap();
         assert_eq!(back, img);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -556,6 +556,9 @@ mod tests {
         let text = String::from_utf8(m.response.body.clone()).unwrap();
         assert!(text.contains("memo_store_attached 1"), "{text}");
         assert!(text.contains("memo_store_segment_hits_total"));
+        // `s` holds the other handle: the store must be gone before its
+        // directory is.
+        drop(s);
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -641,6 +644,7 @@ mod tests {
         let text = String::from_utf8(m.response.body).unwrap();
         assert!(text.contains("memo_tier_breaker_state 2"), "{text}");
         assert!(text.contains("memo_store_io_errors_total"));
+        drop(s);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -791,6 +795,7 @@ mod tests {
         // Malformed warms are rejected without touching the cache.
         assert_eq!(handle(&s, &post("/v1/warm", "body\n"), 0).response.status, 400);
         assert_eq!(handle(&s, &post("/v1/warm?key=x", ""), 0).response.status, 400);
+        drop(s);
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -72,4 +72,4 @@ pub use pipeline::{PipelineModel, PipelineReport};
 pub use sweep::sweep_kind;
 pub use event::{CountingSink, Event, EventSink, InstrMix, NullSink, TraceBuffer};
 pub use memo_table::{BatchOutcome, OpBatch};
-pub use trace::{EventTrace, OpIter, OpTrace, TraceDecodeError, TraceRecorderSink, OP_TRACE_VERSION};
+pub use trace::{EventTrace, OpTrace, TraceDecodeError, TraceRecorderSink, OP_TRACE_VERSION};

@@ -9,9 +9,9 @@
 //! * [`OpTrace`] — the arithmetic operand stream (the traffic MEMO-TABLEs
 //!   see), dictionary-coded per [`OpKind`]: each kind keeps its distinct
 //!   operand bit patterns once and `u16` index columns into them (`u32`
-//!   once a kind has more than 65,536 distinct values), and a
-//!   run-length-encoded kind index keeps the native order across kinds.
-//!   No per-event allocation.
+//!   once a kind has more than 65,536 distinct values). Each kind is its
+//!   own recording: the interleaving of kinds in the native run is not
+//!   kept. No per-event allocation.
 //! * [`TraceRecorderSink`] — an [`EventSink`] that captures the `Arith`
 //!   events of a kernel run into an `OpTrace` and discards the rest.
 //! * [`EventTrace`] — the *full* event stream (loads, branches, ALU ops,
@@ -28,34 +28,11 @@
 //! equivalence tests in `memo-workloads` and `memo-experiments`).
 
 use std::hash::BuildHasher;
-use std::ops::Range;
 
 use memo_table::{KeyHashBuilder, Memoizer, Op, OpBatch, OpKind, MAX_BATCH_WIDTH};
 
 use crate::bank::MemoBank;
 use crate::event::{Event, EventSink};
-
-/// One run of consecutive same-kind operations, packed into 4 bytes:
-/// kind index in the top 2 bits, run length in the low 30.
-#[derive(Debug, Clone, Copy)]
-struct KindRun(u32);
-
-const RUN_LEN_BITS: u32 = 30;
-const MAX_RUN_LEN: u32 = (1 << RUN_LEN_BITS) - 1;
-
-impl KindRun {
-    fn new(kind: OpKind, len: u32) -> Self {
-        KindRun((kind as u32) << RUN_LEN_BITS | len)
-    }
-
-    fn kind(self) -> OpKind {
-        OpKind::ALL[(self.0 >> RUN_LEN_BITS) as usize]
-    }
-
-    fn len(self) -> u32 {
-        self.0 & MAX_RUN_LEN
-    }
-}
 
 /// Distinct values a kind's dictionary holds before its index columns
 /// widen from `u16` to `u32`.
@@ -243,55 +220,19 @@ impl KindColumn {
         self.dict.len() * 8 + self.idx.bytes()
     }
 
-    /// Operation `i` of this kind.
-    #[inline]
-    fn op(&self, kind: OpKind, i: usize) -> Op {
-        let (a, b) = match &self.idx {
-            Indices::Narrow { a, b } => (a[i].get(), b.get(i).map(|j| j.get())),
-            Indices::Wide { a, b } => (a[i].get(), b.get(i).map(|j| j.get())),
-        };
-        op_from_bits(kind, self.dict[a], b.map_or(0, |b| self.dict[b]))
-    }
-
-    /// Decode operations `range` of this kind as tiles of `width` lanes
-    /// (only the last may be shorter).
-    fn tiles(
-        &self,
-        kind: OpKind,
-        range: Range<usize>,
-        width: usize,
-        tile: &mut Tile,
-        f: &mut impl FnMut(&OpBatch<'_>),
-    ) {
-        let binary = kind != OpKind::FpSqrt;
+    /// Decode this kind's operations as tiles of `width` lanes (only the
+    /// last may be shorter).
+    fn tiles(&self, kind: OpKind, width: usize, f: impl FnMut(&OpBatch<'_>)) {
         match &self.idx {
-            Indices::Narrow { a, b } => {
-                let b = if binary { &b[range.clone()] } else { &[] };
-                decode_tiles(kind, &self.dict, &a[range], b, width, tile, f);
-            }
-            Indices::Wide { a, b } => {
-                let b = if binary { &b[range.clone()] } else { &[] };
-                decode_tiles(kind, &self.dict, &a[range], b, width, tile, f);
-            }
+            Indices::Narrow { a, b } => decode_tiles(kind, &self.dict, a, b, width, f),
+            Indices::Wide { a, b } => decode_tiles(kind, &self.dict, a, b, width, f),
         }
     }
 }
 
-/// Stack lane buffers that index columns decode into.
-struct Tile {
-    a: [u64; MAX_BATCH_WIDTH],
-    b: [u64; MAX_BATCH_WIDTH],
-}
-
-impl Tile {
-    fn new() -> Self {
-        Tile { a: [0; MAX_BATCH_WIDTH], b: [0; MAX_BATCH_WIDTH] }
-    }
-}
-
 /// Cut index columns into tiles of `width` (≤ [`MAX_BATCH_WIDTH`]) lanes,
-/// look each lane up in `dict`, and hand every tile to `f`. An empty `b`
-/// marks a unary kind.
+/// look each lane up in `dict` into stack lane buffers, and hand every
+/// tile to `f`. An empty `b` marks a unary kind.
 #[inline]
 fn decode_tiles<I: DictIndex>(
     kind: OpKind,
@@ -299,20 +240,21 @@ fn decode_tiles<I: DictIndex>(
     a: &[I],
     b: &[I],
     width: usize,
-    tile: &mut Tile,
-    f: &mut impl FnMut(&OpBatch<'_>),
+    mut f: impl FnMut(&OpBatch<'_>),
 ) {
+    let mut ta = [0u64; MAX_BATCH_WIDTH];
+    let mut tb = [0u64; MAX_BATCH_WIDTH];
     let mut start = 0;
     while start < a.len() {
         let w = width.min(a.len() - start);
-        gather(dict, &a[start..start + w], &mut tile.a[..w]);
-        let tb: &[u64] = if b.is_empty() {
+        gather(dict, &a[start..start + w], &mut ta[..w]);
+        let lanes_b: &[u64] = if b.is_empty() {
             &[]
         } else {
-            gather(dict, &b[start..start + w], &mut tile.b[..w]);
-            &tile.b[..w]
+            gather(dict, &b[start..start + w], &mut tb[..w]);
+            &tb[..w]
         };
-        f(&OpBatch::new(kind, &tile.a[..w], tb));
+        f(&OpBatch::new(kind, &ta[..w], lanes_b));
         start += w;
     }
 }
@@ -329,24 +271,20 @@ fn gather<I: DictIndex>(dict: &[u64], idx: &[I], out: &mut [u64]) {
 /// Layout: per [`OpKind`], a dictionary of the kind's distinct operand
 /// bit patterns (first-seen order, shared by both operands) and `a`/`b`
 /// index columns into it — `u16` while the dictionary holds at most
-/// 65,536 values, `u32` past that (square root has no `b` column). The
-/// kinds' order in the native stream lives only in the run-length-encoded
-/// run index (4 bytes per run of same-kind operations). A binary
-/// operation therefore costs 4 bytes of indices (8 once widened) plus its
-/// share of the dictionary and the run index.
+/// 65,536 values, `u32` past that (square root has no `b` column). A
+/// binary operation therefore costs 4 bytes of indices (8 once widened)
+/// plus its share of the dictionary.
 ///
-/// Visitors come in two orders. [`iter`](Self::iter),
-/// [`to_ops`](Self::to_ops), [`replay_scalar`](Self::replay_scalar) and
-/// [`for_each_batch`](Self::for_each_batch) walk the native order across
-/// kinds. The warp visitors ([`for_each_warp`](Self::for_each_warp),
-/// [`for_each_kind_batch`](Self::for_each_kind_batch),
-/// [`for_each_kind`](Self::for_each_kind) and the replays built on them)
-/// walk one kind's columns at a time.
+/// The four kinds are four independent recordings: each kind's
+/// operations in recorded order, and nothing of how the native run
+/// interleaved them. That is every consumer's whole input, because every
+/// consumer keeps one independent table or model per kind, as the paper
+/// keeps one MEMO-TABLE beside each unit. Every visitor walks kind by
+/// kind in [`OpKind::ALL`] order, each kind in recorded order; the
+/// primitive is [`for_each_kind_batch`](Self::for_each_kind_batch).
 #[derive(Debug, Clone, Default)]
 pub struct OpTrace {
-    runs: Vec<KindRun>,
     kinds: [KindColumn; 4],
-    len: usize,
 }
 
 impl OpTrace {
@@ -356,22 +294,16 @@ impl OpTrace {
         Self::default()
     }
 
-    /// Append one operation.
+    /// Append one operation to its kind's recording.
     pub fn push(&mut self, op: Op) {
         let kind = op.kind();
         let (a, b) = op.operand_bits();
         self.kinds[kind as usize].push(kind != OpKind::FpSqrt, a, b);
-        match self.runs.last_mut() {
-            Some(run) if run.kind() == kind && run.len() < MAX_RUN_LEN => run.0 += 1,
-            _ => self.runs.push(KindRun::new(kind, 1)),
-        }
-        self.len += 1;
     }
 
     /// Drop the recording-time value maps and every column's spare
     /// capacity.
     fn seal(&mut self) {
-        self.runs.shrink_to_fit();
         for column in &mut self.kinds {
             column.seal();
         }
@@ -380,13 +312,13 @@ impl OpTrace {
     /// Number of recorded operations.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.kinds.iter().map(KindColumn::len).sum()
     }
 
     /// `true` when nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Number of recorded operations of `kind`.
@@ -395,37 +327,16 @@ impl OpTrace {
         self.kinds[kind as usize].len()
     }
 
-    /// Approximate heap footprint in bytes: dictionaries, index columns
-    /// and the run index (not the value maps that exist while recording).
+    /// Approximate heap footprint in bytes: dictionaries and index columns
+    /// (not the value maps that exist while recording).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        self.runs.len() * std::mem::size_of::<KindRun>()
-            + self.kinds.iter().map(KindColumn::approx_bytes).sum::<usize>()
+        self.kinds.iter().map(KindColumn::approx_bytes).sum()
     }
 
-    /// Iterate the operations in recorded order, reconstructed bit-exactly.
-    pub fn iter(&self) -> OpIter<'_> {
-        OpIter {
-            trace: self,
-            runs: self.runs.iter(),
-            kind: OpKind::IntMul,
-            left: 0,
-            next: [0; 4],
-            remaining: self.len,
-        }
-    }
-
-    /// The trace as a contiguous operation list (for consumers that need a
-    /// slice).
-    #[must_use]
-    pub fn to_ops(&self) -> Vec<Op> {
-        let mut ops = Vec::with_capacity(self.len());
-        ops.extend(self.iter());
-        ops
-    }
-
-    /// Replay every operation into `bank`, exactly as
-    /// [`MemoBank::execute`] would see them from a native run.
+    /// Replay every operation into `bank`: each table sees exactly its
+    /// kind's operations in the order [`MemoBank::execute`] saw them in
+    /// the native run.
     ///
     /// Operations flow through the batched path ([`MemoBank::execute_batch`])
     /// in [`MAX_BATCH_WIDTH`]-lane tiles — bit-identical statistics to
@@ -445,29 +356,25 @@ impl OpTrace {
     }
 
     /// Visit the trace as *warps*: same-kind operand tiles of `width`
-    /// lanes (clamped to `1..=`[`MAX_BATCH_WIDTH`]).
-    ///
-    /// Each kind's index columns are cut into tiles of `width` lanes,
-    /// kinds in [`OpKind::ALL`] order; only a kind's last tile may be
-    /// shorter. Each kind's lanes arrive in recorded order, so a consumer
-    /// that keeps one independent table per [`OpKind`] sees exactly the
-    /// per-table operand order of a scalar walk and every statistic stays
-    /// bit-identical to [`replay_scalar`](Self::replay_scalar); only the
-    /// interleaving *between* kinds changes.
+    /// lanes (clamped to `1..=`[`MAX_BATCH_WIDTH`]), the
+    /// [`for_each_kind_batch`](Self::for_each_kind_batch) tiles of each
+    /// kind in [`OpKind::ALL`] order. Only a kind's last tile may be
+    /// shorter.
     pub fn for_each_warp(&self, width: usize, mut f: impl FnMut(&OpBatch<'_>)) {
-        let width = width.clamp(1, MAX_BATCH_WIDTH);
-        let mut tile = Tile::new();
-        for (kind, column) in OpKind::ALL.into_iter().zip(&self.kinds) {
-            column.tiles(kind, 0..column.len(), width, &mut tile, &mut f);
+        for kind in OpKind::ALL {
+            self.for_each_kind_batch(kind, width, &mut f);
         }
     }
 
     /// Scalar per-op replay — the oracle the batched path is property-tested
-    /// against, and the baseline the `trace_replay` bench measures it over.
+    /// against, and the baseline the `trace_replay` bench measures it over:
+    /// one [`Op`] at a time through [`MemoBank::execute`], kind by kind.
     pub fn replay_scalar(&self, bank: &mut MemoBank) {
-        self.for_each(|op| {
-            bank.execute(op);
-        });
+        for kind in OpKind::ALL {
+            self.for_each_kind(kind, |op| {
+                bank.execute(op);
+            });
+        }
     }
 
     /// Replay only the operations of `kind` into a single memoizer — the
@@ -479,56 +386,20 @@ impl OpTrace {
         });
     }
 
-    /// Visit the operations of `kind` in recorded order, decoded from the
-    /// kind's own columns.
+    /// Visit the operations of `kind` in recorded order, one [`Op`] at a
+    /// time.
     pub fn for_each_kind(&self, kind: OpKind, mut f: impl FnMut(Op)) {
         self.for_each_kind_batch(kind, MAX_BATCH_WIDTH, |tile| {
             decode_run(kind, tile.a(), tile.b(), &mut f);
         });
     }
 
-    /// Visit the trace in native order as same-kind operand tiles of at
-    /// most `width` lanes (clamped to `1..=`[`MAX_BATCH_WIDTH`]).
-    ///
-    /// Tiles never cross run boundaries, so the final tile of a run may be
-    /// partial (down to a single lane).
-    pub fn for_each_batch(&self, width: usize, mut f: impl FnMut(&OpBatch<'_>)) {
-        let width = width.clamp(1, MAX_BATCH_WIDTH);
-        let mut tile = Tile::new();
-        let mut next = [0usize; 4];
-        for run in &self.runs {
-            let kind = run.kind();
-            let start = next[kind as usize];
-            let end = start + run.len() as usize;
-            self.kinds[kind as usize].tiles(kind, start..end, width, &mut tile, &mut f);
-            next[kind as usize] = end;
-        }
-    }
-
-    /// Visit only the operations of `kind` as operand tiles of exactly
-    /// `width` lanes (clamped to `1..=`[`MAX_BATCH_WIDTH`]; only the final
-    /// tile may be shorter): the warps of
-    /// [`for_each_warp`](Self::for_each_warp) of that kind. Other kinds'
-    /// columns are not touched.
-    pub fn for_each_kind_batch(&self, kind: OpKind, width: usize, mut f: impl FnMut(&OpBatch<'_>)) {
-        let width = width.clamp(1, MAX_BATCH_WIDTH);
-        let column = &self.kinds[kind as usize];
-        column.tiles(kind, 0..column.len(), width, &mut Tile::new(), &mut f);
-    }
-
-    /// Replay the trace as [`Event::Arith`] events into an arbitrary sink
-    /// (e.g. the fault-tolerance differential checker), in native order.
-    /// Tiled through [`EventSink::record_arith_batch`] so batching-aware
-    /// sinks (the cycle accountant) charge per run, while plain sinks see
-    /// the usual per-op `record` calls via the trait default.
-    pub fn replay_events<S: EventSink>(&self, sink: &mut S) {
-        self.for_each_batch(MAX_BATCH_WIDTH, |tile| sink.record_arith_batch(tile));
-    }
-
-    fn for_each(&self, mut f: impl FnMut(Op)) {
-        self.for_each_batch(MAX_BATCH_WIDTH, |tile| {
-            decode_run(tile.kind(), tile.a(), tile.b(), &mut f);
-        });
+    /// Visit the operations of `kind` in recorded order as operand tiles
+    /// of exactly `width` lanes (clamped to `1..=`[`MAX_BATCH_WIDTH`];
+    /// only the final tile may be shorter), decoded from the kind's own
+    /// columns. Other kinds' columns are not touched.
+    pub fn for_each_kind_batch(&self, kind: OpKind, width: usize, f: impl FnMut(&OpBatch<'_>)) {
+        self.kinds[kind as usize].tiles(kind, width.clamp(1, MAX_BATCH_WIDTH), f);
     }
 }
 
@@ -546,10 +417,9 @@ pub enum TraceDecodeError {
     },
     /// The buffer is shorter than its own headers claim.
     Truncated,
-    /// The decoded structure is internally inconsistent: run lengths do
-    /// not sum to the operation count, a column's length disagrees with
-    /// the runs, an index points past its dictionary, or bytes trail the
-    /// data.
+    /// The decoded structure is internally inconsistent: a dictionary
+    /// holds more values than its kind's operations have operands, an
+    /// index points past its dictionary, or bytes trail the data.
     Inconsistent,
 }
 
@@ -570,7 +440,7 @@ impl std::error::Error for TraceDecodeError {}
 
 /// Serialization format version written by [`OpTrace::to_bytes`]. Bump on
 /// any layout change so stale persisted traces invalidate cleanly.
-pub const OP_TRACE_VERSION: u16 = 2;
+pub const OP_TRACE_VERSION: u16 = 3;
 
 const OP_TRACE_MAGIC: &[u8; 4] = b"MTRV";
 
@@ -595,34 +465,23 @@ impl<'a> Reader<'a> {
     fn u32(&mut self) -> Result<u32, TraceDecodeError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
-
-    fn u64(&mut self) -> Result<u64, TraceDecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
 }
 
 impl OpTrace {
-    /// Serialize to a self-describing little-endian byte buffer:
-    ///
-    /// * magic, version tag, operation count (`u64`), run count (`u32`),
-    ///   then the packed kind runs (`u32` each);
-    /// * per kind in [`OpKind::ALL`] order: its operation count and
-    ///   dictionary length (`u32` each), the dictionary (`u64` each), then
-    ///   the `a` and (binary kinds only) `b` index columns — 2 bytes an
-    ///   index when the dictionary holds at most 65,536 values, else 4.
+    /// Serialize to a self-describing little-endian byte buffer: magic
+    /// and version tag, then per kind in [`OpKind::ALL`] order its
+    /// operation count and dictionary length (`u32` each), the dictionary
+    /// (`u64` each), and the `a` and (binary kinds only) `b` index
+    /// columns — 2 bytes an index when the dictionary holds at most
+    /// 65,536 values, else 4.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         fn put_u32(out: &mut Vec<u8>, n: usize) {
             out.extend_from_slice(&u32::try_from(n).expect("count fits u32").to_le_bytes());
         }
-        let mut out = Vec::with_capacity(18 + 32 + self.approx_bytes());
+        let mut out = Vec::with_capacity(6 + 32 + self.approx_bytes());
         out.extend_from_slice(OP_TRACE_MAGIC);
         out.extend_from_slice(&OP_TRACE_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        put_u32(&mut out, self.runs.len());
-        for run in &self.runs {
-            out.extend_from_slice(&run.0.to_le_bytes());
-        }
         for column in &self.kinds {
             put_u32(&mut out, column.len());
             put_u32(&mut out, column.dict.len());
@@ -648,10 +507,9 @@ impl OpTrace {
     }
 
     /// Deserialize a buffer produced by [`to_bytes`](Self::to_bytes),
-    /// validating the version tag and the structural invariants: run
-    /// lengths sum to the operation count, each kind's columns are exactly
-    /// as long as its runs, every index points into its dictionary, and no
-    /// bytes trail the data.
+    /// validating the version tag and the structural invariants: no
+    /// dictionary holds more values than its kind's operands, every index
+    /// points into its dictionary, and no bytes trail the data.
     ///
     /// # Errors
     ///
@@ -665,31 +523,11 @@ impl OpTrace {
         if version != OP_TRACE_VERSION {
             return Err(TraceDecodeError::WrongVersion { found: version });
         }
-        let len = usize::try_from(r.u64()?).map_err(|_| TraceDecodeError::Inconsistent)?;
-        let nruns = r.u32()? as usize;
-        let runs: Vec<KindRun> = r
-            .items(nruns, 4)?
-            .chunks_exact(4)
-            .map(|c| KindRun(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
-            .collect();
-        let mut per_kind = [0usize; 4];
-        for run in &runs {
-            if run.len() == 0 {
-                return Err(TraceDecodeError::Inconsistent);
-            }
-            per_kind[run.kind() as usize] += run.len() as usize;
-        }
-        if per_kind.iter().sum::<usize>() != len {
-            return Err(TraceDecodeError::Inconsistent);
-        }
-
         let mut kinds: [KindColumn; 4] = Default::default();
-        for ((kind, column), &count) in OpKind::ALL.into_iter().zip(&mut kinds).zip(&per_kind) {
+        for (kind, column) in OpKind::ALL.into_iter().zip(&mut kinds) {
             let binary = kind != OpKind::FpSqrt;
             let operands = if binary { 2 } else { 1 };
-            if r.u32()? as usize != count {
-                return Err(TraceDecodeError::Inconsistent);
-            }
+            let count = r.u32()? as usize;
             // A recording interns only the values it pushes.
             let dict_len = r.u32()? as usize;
             if dict_len > count * operands {
@@ -725,19 +563,7 @@ impl OpTrace {
         if !r.0.is_empty() {
             return Err(TraceDecodeError::Inconsistent);
         }
-        Ok(OpTrace { runs, kinds, len })
-    }
-}
-
-/// One operation from its operand bit patterns (`b` ignored for square
-/// root).
-#[inline]
-fn op_from_bits(kind: OpKind, a: u64, b: u64) -> Op {
-    match kind {
-        OpKind::IntMul => Op::IntMul(a as i64, b as i64),
-        OpKind::FpMul => Op::FpMul(f64::from_bits(a), f64::from_bits(b)),
-        OpKind::FpDiv => Op::FpDiv(f64::from_bits(a), f64::from_bits(b)),
-        OpKind::FpSqrt => Op::FpSqrt(f64::from_bits(a)),
+        Ok(OpTrace { kinds })
     }
 }
 
@@ -769,47 +595,6 @@ fn decode_run(kind: OpKind, a: &[u64], b: &[u64], f: &mut impl FnMut(Op)) {
         }
     }
 }
-
-/// Iterator over the operations of an [`OpTrace`] in recorded order.
-///
-/// Follows the run index across kinds and keeps one read position per
-/// kind's columns.
-#[derive(Debug)]
-pub struct OpIter<'a> {
-    trace: &'a OpTrace,
-    runs: std::slice::Iter<'a, KindRun>,
-    /// Kind of the current run, and its operations not yet yielded.
-    kind: OpKind,
-    left: usize,
-    /// Next unread position in each kind's columns.
-    next: [usize; 4],
-    remaining: usize,
-}
-
-impl Iterator for OpIter<'_> {
-    type Item = Op;
-
-    #[inline]
-    fn next(&mut self) -> Option<Op> {
-        while self.left == 0 {
-            let run = self.runs.next()?;
-            self.kind = run.kind();
-            self.left = run.len() as usize;
-        }
-        self.left -= 1;
-        self.remaining -= 1;
-        let k = self.kind as usize;
-        let i = self.next[k];
-        self.next[k] += 1;
-        Some(self.trace.kinds[k].op(self.kind, i))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for OpIter<'_> {}
 
 /// Records the arithmetic operand stream of a kernel run; every other
 /// event is discarded. Use [`EventTrace`] when the full stream matters.
@@ -1030,7 +815,7 @@ mod tests {
     use super::*;
     use crate::event::{CountingSink, TraceBuffer};
     use memo_table::rng::SplitMix64;
-    use memo_table::{MemoConfig, MemoTable};
+    use memo_table::{FaultConfig, FaultInjector, MemoConfig, MemoTable, Protection};
 
     fn sample_ops() -> Vec<Op> {
         vec![
@@ -1052,8 +837,9 @@ mod tests {
             trace.push(op);
         }
         assert_eq!(trace.len(), 8);
-        let back = trace.to_ops();
-        for (orig, got) in sample_ops().iter().zip(&back) {
+        let back = ops_of(&trace);
+        assert_eq!(back.len(), 8);
+        for (orig, got) in kind_major(&sample_ops()).iter().zip(&back) {
             assert_eq!(orig.kind(), got.kind());
             assert_eq!(orig.operand_bits(), got.operand_bits());
         }
@@ -1104,8 +890,8 @@ mod tests {
     fn memory_bound_is_16_bytes_per_op() {
         // Kernel inner loops emit bursts of same-kind operations over few
         // distinct values: a binary op costs its two u16 indices, and the
-        // dictionaries and the run index amortize to a fifth of a byte
-        // (4.19 B/op in all on this stream).
+        // dictionaries amortize to an eighth of a byte (4.125 B/op in all
+        // on this stream).
         let mut trace = OpTrace::new();
         for burst in 0..200i64 {
             for i in 0..64 {
@@ -1116,7 +902,7 @@ mod tests {
             }
         }
         let per_op = trace.approx_bytes() as f64 / trace.len() as f64;
-        assert!(per_op <= 4.2, "got {per_op} bytes/op");
+        assert!(per_op <= 4.125, "got {per_op} bytes/op");
     }
 
     #[test]
@@ -1156,7 +942,7 @@ mod tests {
         let bytes = trace.to_bytes();
         let back = OpTrace::from_bytes(&bytes).unwrap();
         assert_eq!(back.len(), trace.len());
-        for (orig, got) in trace.iter().zip(back.iter()) {
+        for (orig, got) in ops_of(&trace).iter().zip(&ops_of(&back)) {
             assert_eq!(orig.kind(), got.kind());
             assert_eq!(orig.operand_bits(), got.operand_bits());
         }
@@ -1192,13 +978,13 @@ mod tests {
             OpTrace::from_bytes(&bytes[..bytes.len() - 1]),
             Err(TraceDecodeError::Truncated)
         ));
-        // Corrupt the op count so runs no longer sum to it.
-        let mut inconsistent = bytes.clone();
-        inconsistent[6] ^= 0x01;
-        assert!(matches!(
-            OpTrace::from_bytes(&inconsistent),
-            Err(TraceDecodeError::Inconsistent)
-        ));
+        // After the magic, the version and the int multiplies' op count
+        // comes their dictionary length: two operations, four distinct
+        // operands. Five is more than they could have interned.
+        let mut oversized = bytes.clone();
+        assert_eq!(oversized[10..14], 4u32.to_le_bytes());
+        oversized[10..14].copy_from_slice(&5u32.to_le_bytes());
+        assert!(matches!(OpTrace::from_bytes(&oversized), Err(TraceDecodeError::Inconsistent)));
         // The last two bytes are the one square root's u16 index into its
         // one-value dictionary: point it past the dictionary.
         let mut past_dict = bytes.clone();
@@ -1209,19 +995,6 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(matches!(OpTrace::from_bytes(&trailing), Err(TraceDecodeError::Inconsistent)));
-    }
-
-    #[test]
-    fn op_iter_is_exact_size() {
-        let mut trace = OpTrace::new();
-        for &op in &sample_ops() {
-            trace.push(op);
-        }
-        let mut iter = trace.iter();
-        assert_eq!(iter.len(), 8);
-        iter.next();
-        assert_eq!(iter.len(), 7);
-        assert_eq!(iter.count(), 7);
     }
 
     /// Operand bit patterns that must survive the dictionary exactly:
@@ -1284,6 +1057,23 @@ mod tests {
         (op.kind(), op.operand_bits())
     }
 
+    /// `ops` in the order a trace keeps them: kind by kind in
+    /// [`OpKind::ALL`] order, each kind in recorded order.
+    fn kind_major(ops: &[Op]) -> Vec<Op> {
+        let mut ops = ops.to_vec();
+        ops.sort_by_key(|op| op.kind() as usize);
+        ops
+    }
+
+    /// Every operation of `trace`, walked kind by kind.
+    fn ops_of(trace: &OpTrace) -> Vec<Op> {
+        let mut ops = Vec::with_capacity(trace.len());
+        for kind in OpKind::ALL {
+            trace.for_each_kind(kind, |op| ops.push(op));
+        }
+        ops
+    }
+
     /// Panic at the first operation where `got` and `want` differ in kind
     /// or bits, naming the seed.
     fn assert_same_ops(seed: u64, what: &str, got: impl IntoIterator<Item = Op>, want: &[Op]) {
@@ -1327,13 +1117,13 @@ mod tests {
                     "seed {seed}, {kind}: width"
                 );
             }
-            assert_same_ops(seed, "iter", trace.iter(), &ops);
-            assert_same_ops(seed, "to_ops", trace.to_ops(), &ops);
-            let mut native = Vec::new();
-            trace.for_each_batch(MAX_BATCH_WIDTH, |tile| {
-                native.extend((0..tile.len()).map(|i| tile.op(i)))
+            let want = kind_major(&ops);
+            assert_same_ops(seed, "for_each_kind", ops_of(&trace), &want);
+            let mut warps = Vec::new();
+            trace.for_each_warp(MAX_BATCH_WIDTH, |warp| {
+                warps.extend((0..warp.len()).map(|i| warp.op(i)));
             });
-            assert_same_ops(seed, "for_each_batch", native, &ops);
+            assert_same_ops(seed, "for_each_warp", warps, &want);
         }
     }
 
@@ -1399,7 +1189,7 @@ mod tests {
                 let back = OpTrace::from_bytes(&bytes)
                     .unwrap_or_else(|e| panic!("seed {seed}, {what}: {e}"));
                 assert_eq!(is_wide(&back, OpKind::FpMul), widened, "seed {seed}, {what}: width");
-                assert_same_ops(seed, &what, back.iter(), prefix);
+                assert_same_ops(seed, &what, ops_of(&back), &kind_major(prefix));
                 assert!(back.to_bytes() == bytes, "seed {seed}, {what}: re-encoding differs");
             }
         }
@@ -1423,8 +1213,7 @@ mod tests {
                 let mut bank = MemoBank::paper_default();
                 trace.replay(&mut bank);
                 trace.replay_scalar(&mut bank);
-                trace.replay_events(&mut CountingSink::new());
-                assert_eq!(trace.iter().count(), trace.len(), "seed {seed}");
+                assert_eq!(ops_of(&trace).len(), trace.len(), "seed {seed}");
                 decoded += 1;
             }
         }
@@ -1443,6 +1232,91 @@ mod tests {
         let after: Vec<usize> = trace.kinds.iter().map(|k| k.dict.len()).collect();
         assert_eq!(before, after, "seed 7: replayed values are already in the dictionaries");
         let twice: Vec<Op> = ops.iter().chain(&ops).copied().collect();
-        assert_same_ops(7, "pushed twice", trace.iter(), &twice);
+        assert_same_ops(7, "pushed twice", ops_of(&trace), &kind_major(&twice));
+    }
+
+    /// A seeded merge of `ops`' four per-kind streams: each kind keeps its
+    /// order, and the interleaving between kinds is redrawn in bursts.
+    fn reinterleave(seed: u64, ops: &[Op]) -> Vec<Op> {
+        let mut rng = SplitMix64::new(seed).split("reinterleave");
+        let streams = OpKind::ALL.map(|kind| -> Vec<Op> {
+            ops.iter().copied().filter(|op| op.kind() == kind).collect()
+        });
+        let mut next = [0usize; 4];
+        let mut merged = Vec::with_capacity(ops.len());
+        while merged.len() < ops.len() {
+            let k = rng.next_below(4) as usize;
+            let take = (1 + rng.next_below(8) as usize).min(streams[k].len() - next[k]);
+            merged.extend_from_slice(&streams[k][next[k]..next[k] + take]);
+            next[k] += take;
+        }
+        merged
+    }
+
+    /// Parity-protected tables whose injectors strike every other matched
+    /// probe, behind a circuit breaker that trips a slot at 8 detections.
+    fn breaker_bank(seed: u64) -> MemoBank {
+        let bank = OpKind::ALL.into_iter().enumerate().fold(MemoBank::none(), |bank, (slot, kind)| {
+            let config = MemoConfig::builder(32)
+                .protection(Protection::ParityDetect)
+                .build()
+                .expect("32/4 is valid");
+            let faults = FaultInjector::new(FaultConfig::single_bit(seed + slot as u64, 0.5));
+            bank.with_table(kind, MemoTable::new(config).with_fault_injector(faults))
+        });
+        bank.with_circuit_breaker(8)
+    }
+
+    /// Which slots tripped, and each slot's detections.
+    fn breaker_outcome(bank: &MemoBank) -> [(bool, u64); 4] {
+        OpKind::ALL.map(|kind| {
+            (bank.breaker_tripped(kind), bank.stats(kind).map_or(0, |s| s.faults_detected))
+        })
+    }
+
+    /// A recording is four per-kind streams: reinterleaving the kinds of a
+    /// native stream changes neither its bytes nor anything a per-kind
+    /// table sees, even a breaker-armed faulty one.
+    #[test]
+    fn recordings_keep_no_interleaving_between_kinds() {
+        let mut trips = 0;
+        for (seed, ops) in seeded_cases() {
+            let merged = reinterleave(seed, &ops);
+            assert!(
+                merged.iter().zip(&ops).any(|(m, o)| bits(m) != bits(o)),
+                "seed {seed}: the merge must change the interleaving"
+            );
+            let (native, reordered) = (record(&ops), record(&merged));
+            assert!(native.to_bytes() == reordered.to_bytes(), "seed {seed}: bytes differ");
+
+            let mut banks = [(); 4].map(|()| MemoBank::paper_default());
+            native.replay(&mut banks[0]);
+            native.replay_scalar(&mut banks[1]);
+            reordered.replay(&mut banks[2]);
+            reordered.replay_scalar(&mut banks[3]);
+            for kind in OpKind::ALL {
+                for (i, bank) in banks.iter().enumerate().skip(1) {
+                    assert_eq!(
+                        bank.stats(kind),
+                        banks[0].stats(kind),
+                        "seed {seed}, {kind}: replay {i} stats"
+                    );
+                }
+            }
+
+            // The native stream op by op, as a live run would drive it.
+            let mut live = breaker_bank(seed);
+            for &op in &ops {
+                live.execute(op);
+            }
+            let want = breaker_outcome(&live);
+            for (what, trace) in [("native", &native), ("reordered", &reordered)] {
+                let mut bank = breaker_bank(seed);
+                trace.replay(&mut bank);
+                assert_eq!(breaker_outcome(&bank), want, "seed {seed}: {what} breaker");
+            }
+            trips += want.iter().filter(|&&(tripped, _)| tripped).count();
+        }
+        assert!(trips > 0, "no breaker tripped in any seed");
     }
 }

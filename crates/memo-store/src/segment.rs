@@ -631,10 +631,17 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
+    /// `name` in a fresh directory of its own, so tests running in
+    /// parallel share none; [`remove_tmp`] deletes the directory.
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("memo-seg-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("memo-seg-test-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    fn remove_tmp(path: &Path) {
+        let _ = std::fs::remove_dir_all(path.parent().expect("a tmp path has a directory"));
     }
 
     fn sample() -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
@@ -710,7 +717,7 @@ mod tests {
         assert_eq!(seg.get(b"key-0007x").unwrap().0, None);
         assert_eq!(seg.get(b"zzz").unwrap().0, None);
         assert_eq!(seg.scan_all().unwrap(), entries);
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     #[test]
@@ -734,7 +741,7 @@ mod tests {
         // Truncation too.
         std::fs::write(&path, &clean[..clean.len() - 10]).unwrap();
         assert!(Segment::open(&RealVfs, &path).is_err());
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     #[test]
@@ -745,7 +752,7 @@ mod tests {
         assert_eq!(seg.entries(), 0);
         assert_eq!(seg.get(b"anything").unwrap().0, None);
         assert!(!seg.maybe_contains(b"anything"), "an empty segment contains nothing");
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     /// Satellite: a failed publish (rename, fsync — file *or* directory —
@@ -766,7 +773,6 @@ mod tests {
         ];
         for (tag, fault) in faults {
             let path = tmp(&format!("cleanup-{tag}.seg"));
-            let _ = std::fs::remove_file(&path);
             let vfs =
                 FaultVfs::new(FaultConfig { scheduled: vec![fault], ..FaultConfig::quiet(2) });
             let err = write(
@@ -784,7 +790,7 @@ mod tests {
                 .unwrap();
             let seg = Segment::open(&vfs, &path).unwrap();
             assert_eq!(seg.entries(), 50);
-            let _ = std::fs::remove_file(&path);
+            remove_tmp(&path);
         }
     }
 
@@ -802,7 +808,7 @@ mod tests {
             .filter(|i| !seg.maybe_contains(format!("absent-{i}").as_bytes()))
             .count();
         assert!(rejected > 900, "only {rejected}/1000 absent keys screened");
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     #[test]
@@ -814,7 +820,7 @@ mod tests {
         assert!(seg.bloom.is_none());
         assert!(seg.maybe_contains(b"definitely-absent"));
         assert_eq!(seg.get(b"key-0003").unwrap().0, Some(entries[3].1.clone()));
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     #[test]
@@ -833,7 +839,7 @@ mod tests {
             (0..1000).any(|i| !seg.maybe_contains(format!("absent-{i}").as_bytes())),
             "the rebuilt filter must actually screen"
         );
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     #[test]
@@ -856,7 +862,7 @@ mod tests {
             matches!(&err, StoreError::CorruptSegment { detail, .. } if detail.contains("bloom")),
             "{err}"
         );
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     /// A test block cache: a locked map plus hit/put counters.
@@ -911,6 +917,6 @@ mod tests {
         let (found, acct) = seg.get_with_cache(b"key-0003", Some(&cache)).unwrap();
         assert_eq!(found, Some(entries[3].1.clone()));
         assert!(acct.cache_miss && acct.disk_bytes > 0, "corrupt entry must not serve: {acct:?}");
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 }

@@ -954,6 +954,7 @@ mod tests {
         assert_eq!(store.get(b"k039").unwrap(), Some(vec![39u8; 40]));
         assert_eq!(store.get(b"k005").unwrap(), None, "tombstone survives reopen");
         assert_eq!(store.get(b"absent").unwrap(), None);
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -967,6 +968,7 @@ mod tests {
         assert_eq!(store.get(b"k").unwrap(), Some(b"new".to_vec()));
         store.flush().unwrap(); // both versions in segments, newest first
         assert_eq!(store.get(b"k").unwrap(), Some(b"new".to_vec()));
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -993,6 +995,7 @@ mod tests {
         let store = Store::open(&dir, StoreConfig::small_for_tests()).unwrap();
         assert_eq!(store.get(b"k0").unwrap(), Some(vec![2u8; 64]));
         assert_eq!(store.get(b"k9").unwrap(), None);
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1013,6 +1016,7 @@ mod tests {
         assert_eq!(stats.flushes, 1);
         assert!(stats.bytes_written > 0);
         assert!(stats.segment_bytes > 0);
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1029,6 +1033,7 @@ mod tests {
         drop(store);
         let store = Store::open(&dir, StoreConfig::default()).unwrap();
         assert_eq!(store.get(b"a").unwrap(), None);
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1048,6 +1053,7 @@ mod tests {
             assert_eq!(store.get(key.as_bytes()).unwrap(), Some(vec![i as u8; 48]));
         }
         assert!(store.stats().flushes > 0, "watermark crossings flushed in the background");
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1062,6 +1068,7 @@ mod tests {
         let stats = store.stats();
         assert!(stats.flush_queue_peak >= 1, "freezes went through the queue: {stats:?}");
         assert!(stats.flush_queue_peak <= 2, "bounded queue held its cap: {stats:?}");
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1088,6 +1095,7 @@ mod tests {
                 Some(vec![i as u8; 64])
             );
         }
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1113,6 +1121,7 @@ mod tests {
             "the frozen log became the segment it was headed for"
         );
         assert!(!dir.join("wal-00000000.log").exists(), "consumed frozen log is gone");
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1130,6 +1139,7 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.misses, 64);
         assert!(stats.bloom_negatives > 0, "absent keys were screened: {stats:?}");
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1159,6 +1169,7 @@ mod tests {
         for i in 0..150u32 {
             assert_eq!(store.get(format!("c{i:04}").as_bytes()).unwrap(), Some(vec![i as u8; 40]));
         }
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1176,6 +1187,7 @@ mod tests {
         store.put(b"k", b"v").unwrap();
         store.flush().unwrap();
         assert!(oks.load(Ordering::Relaxed) >= 1, "observer saw the background flush");
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -343,7 +343,9 @@ pub struct FaultStats {
 
 /// SplitMix64 — the same deterministic generator the rest of the
 /// workspace uses; reimplemented here because this crate is
-/// dependency-free by policy.
+/// dependency-free by policy. Unlike the other copies, `next_below` maps
+/// by modulo, not multiply-shift, and every seeded fault schedule of the
+/// crash and chaos suites depends on that mapping.
 #[derive(Debug, Clone)]
 struct SplitMix64(u64);
 
@@ -647,16 +649,22 @@ impl Vfs for FaultVfs {
 mod tests {
     use super::*;
 
+    /// `name` in a fresh directory of its own, so tests running in
+    /// parallel share none; [`remove_tmp`] deletes the directory.
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("memo-vfs-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("memo-vfs-test-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    fn remove_tmp(path: &Path) {
+        let _ = std::fs::remove_dir_all(path.parent().expect("a tmp path has a directory"));
     }
 
     #[test]
     fn real_vfs_roundtrips_append_truncate_and_positioned_reads() {
         let path = tmp("real.bin");
-        let _ = std::fs::remove_file(&path);
         let vfs = RealVfs;
         let mut f = vfs.open_rw(&path).unwrap();
         f.append(b"hello ").unwrap();
@@ -672,13 +680,12 @@ mod tests {
         let mut buf = [0u8; 2];
         f.read_exact_at(1, &mut buf).unwrap();
         assert_eq!(&buf, b"el");
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     #[test]
     fn quiet_fault_vfs_is_a_counting_passthrough() {
         let path = tmp("quiet.bin");
-        let _ = std::fs::remove_file(&path);
         let vfs = FaultVfs::new(FaultConfig::quiet(7));
         let mut f = vfs.open_rw(&path).unwrap();
         f.append(b"data").unwrap();
@@ -687,13 +694,12 @@ mod tests {
         let stats = vfs.stats();
         assert_eq!(stats.ops, [1, 1, 1, 0]);
         assert_eq!(stats.injected, [0; 4]);
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     #[test]
     fn scheduled_faults_fire_at_exact_operation_counts() {
         let path = tmp("sched.bin");
-        let _ = std::fs::remove_file(&path);
         let vfs = FaultVfs::new(FaultConfig {
             scheduled: vec![
                 ScheduledFault { op: FaultOp::Write, nth: 2, kind: FaultKind::Error },
@@ -710,13 +716,12 @@ mod tests {
         assert_eq!(f.read_all().unwrap(), b"ac", "the failed write left nothing behind");
         let stats = vfs.stats();
         assert_eq!(stats.injected, [0, 1, 1, 0]);
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     #[test]
     fn short_writes_land_a_strict_prefix() {
         let path = tmp("short.bin");
-        let _ = std::fs::remove_file(&path);
         let vfs = FaultVfs::new(FaultConfig {
             scheduled: vec![ScheduledFault {
                 op: FaultOp::Write,
@@ -732,21 +737,20 @@ mod tests {
         assert!(on_disk.len() < payload.len(), "a short write must be torn");
         assert_eq!(on_disk, payload[..on_disk.len()], "the prefix that landed is intact");
         assert_eq!(vfs.stats().short_writes, 1);
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     #[test]
     fn rate_based_faults_are_deterministic_per_seed() {
         let run = |seed: u64| -> Vec<bool> {
             let path = tmp(&format!("rate-{seed}.bin"));
-            let _ = std::fs::remove_file(&path);
             let vfs = FaultVfs::new(FaultConfig {
                 write_error_permille: 400,
                 ..FaultConfig::quiet(seed)
             });
             let mut f = vfs.open_rw(&path).unwrap();
             let outcomes = (0..64).map(|_| f.append(b"x").is_ok()).collect();
-            let _ = std::fs::remove_file(&path);
+            remove_tmp(&path);
             outcomes
         };
         assert_eq!(run(5), run(5), "same seed, same fault pattern");
@@ -762,18 +766,16 @@ mod tests {
             ..FaultConfig::quiet(1)
         });
         let path = tmp("enospc.bin");
-        let _ = std::fs::remove_file(&path);
         let mut f = vfs.open_rw(&path).unwrap();
         let err = f.append(b"z").unwrap_err();
         assert!(err.to_string().contains("ENOSPC"), "{err}");
         assert_eq!(vfs.stats().enospc, 1);
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     #[test]
     fn reconfiguration_mid_run_changes_the_mix() {
         let path = tmp("reconf.bin");
-        let _ = std::fs::remove_file(&path);
         let vfs = FaultVfs::new(FaultConfig {
             write_error_permille: 1000,
             ..FaultConfig::quiet(9)
@@ -784,6 +786,6 @@ mod tests {
         f.append(b"x").unwrap();
         f.sync().unwrap();
         assert_eq!(vfs.stats().ops[FaultOp::Write.index()], 2);
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 }

@@ -13,10 +13,10 @@
 //! updates, insertions).
 //!
 //! Lanes within a batch are always the same kind and in that kind's
-//! recorded order. Trace replay cuts each kind's operations into tiles
-//! regardless of how the native stream interleaved the kinds (a tile may
-//! span many runs of that kind); the native-order visitors cut tiles
-//! within one run. A partial tail batch is just a shorter tile.
+//! recorded order. A recorded trace keeps each kind's operations as a
+//! stream of its own, and trace replay cuts each stream into tiles (a
+//! tile may span many native runs of that kind). A partial tail batch is
+//! just a shorter tile.
 //! `std::simd` is nightly-only, so the lane loops are written as scalar
 //! loops over slices that the optimizer can vectorize; correctness never
 //! depends on vectorization.

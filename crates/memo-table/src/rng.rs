@@ -2,10 +2,14 @@
 //!
 //! The repo's reproducibility rule: every stochastic input is derived from
 //! an explicit seed through SplitMix64 so each experiment is bit-exact
-//! across runs and platforms. `memo-imaging` carries the same generator for
-//! synthetic images; this crate cannot depend on it (the dependency points
-//! the other way), so the few lines are duplicated here for the
-//! [`crate::FaultInjector`] and for property tests.
+//! across runs and platforms. `memo-imaging` carries the same generator
+//! (the same `split`, `next_u64`, `next_f64` and multiply-shift
+//! `next_below`) for synthetic images, and this copy serves the
+//! [`crate::FaultInjector`] and property tests. Neither crate depends on
+//! the other. Merging the copies needs a new dependency edge between two
+//! crates the benchmark package builds, and that edge rewrites
+//! `bench/Cargo.lock`, so the merge waits for a change that may edit the
+//! benchmark.
 
 /// SplitMix64 pseudo-random number generator.
 ///
