@@ -20,18 +20,6 @@ const FLAGS: [(&str, &str); 10] = [
     ("--write-timeout-ms=", "client write timeout (default 10000)"),
 ];
 
-fn value_of(prefix: &str) -> Option<String> {
-    std::env::args().find_map(|a| a.strip_prefix(prefix).map(str::to_string))
-}
-
-fn usize_flag(prefix: &str) -> Option<usize> {
-    value_of(prefix).and_then(|v| v.parse().ok())
-}
-
-fn millis_flag(prefix: &str) -> Option<Duration> {
-    usize_flag(prefix).map(|ms| Duration::from_millis(ms.max(1) as u64))
-}
-
 /// Parse `--nodes=`: comma-separated `name=host:port` entries, with
 /// bare `host:port` entries auto-named `n0`, `n1`, … by position.
 fn parse_nodes(spec: &str) -> Result<Vec<Node>, String> {
@@ -58,16 +46,17 @@ fn parse_nodes(spec: &str) -> Result<Vec<Node>, String> {
 }
 
 fn main() {
-    cli::enforce(
+    let args = cli::enforce(
         "memo-router",
         "Routes requests over a memo-serve fleet by consistent hash, with failover and read-repair.",
         &FLAGS,
     );
+    let millis = |prefix| args.value::<u64>(prefix).map(|ms| Duration::from_millis(ms.max(1)));
     let mut config = RouterConfig::default();
-    if let Some(addr) = value_of("--addr=") {
+    if let Some(addr) = args.value("--addr=") {
         config.addr = addr;
     }
-    match value_of("--nodes=").as_deref().map(parse_nodes) {
+    match args.value::<String>("--nodes=").as_deref().map(parse_nodes) {
         Some(Ok(nodes)) => config.nodes = nodes,
         Some(Err(err)) => {
             eprintln!("memo-router: {err}");
@@ -78,29 +67,29 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if let Some(v) = usize_flag("--rf=") {
+    if let Some(v) = args.value::<usize>("--rf=") {
         config.replication = v.max(1);
     }
-    if let Some(v) = usize_flag("--workers=") {
+    if let Some(v) = args.value::<usize>("--workers=") {
         config.workers = v.max(1);
     }
-    if let Some(v) = usize_flag("--queue-cap=") {
+    if let Some(v) = args.value::<usize>("--queue-cap=") {
         config.queue_capacity = v.max(1);
     }
-    if let Some(d) = millis_flag("--probe-interval-ms=") {
+    if let Some(d) = millis("--probe-interval-ms=") {
         config.probe_interval = d;
     }
-    if let Some(d) = millis_flag("--probe-timeout-ms=") {
+    if let Some(d) = millis("--probe-timeout-ms=") {
         config.probe_timeout = d;
     }
-    if let Some(d) = millis_flag("--connect-timeout-ms=") {
+    if let Some(d) = millis("--connect-timeout-ms=") {
         config.connect_timeout = d;
     }
-    if let Some(d) = millis_flag("--read-timeout-ms=") {
+    if let Some(d) = millis("--read-timeout-ms=") {
         config.read_timeout = d;
         config.io_timeout = d;
     }
-    if let Some(d) = millis_flag("--write-timeout-ms=") {
+    if let Some(d) = millis("--write-timeout-ms=") {
         config.write_timeout = d;
     }
 

@@ -4,9 +4,9 @@
 //! banks so no single port bottlenecks (DESIGN.md §8); this crate lifts
 //! that idea one level up. A fleet of memo-serve nodes each owns a slice
 //! of the canonical `(experiment, config)` key space, and `memo-router`
-//! — a zero-dependency HTTP tier built from the same bounded-queue /
-//! worker-pool parts as memo-serve — places every request on its owners
-//! via a 160-vnode consistent-hash ring:
+//! — a zero-dependency HTTP tier that serves through memo-serve's own
+//! front end (`memo_serve::server::Frontend`) — places every request on
+//! its owners via a 160-vnode consistent-hash ring:
 //!
 //! - [`ring`]: the hash ring — vnode placement, clockwise owner walks,
 //!   minimal remapping when a node leaves;
@@ -18,10 +18,10 @@
 //! - [`proxy`]: pooled backend connections — forward a request
 //!   verbatim, read the response through the shared parser, re-warm a
 //!   replica;
-//! - [`router`]: the serving loop — primary-then-replica failover on
-//!   connection failure or 5xx, per-node circuit breakers, and
-//!   read-repair that re-warms replicas whenever the serving node
-//!   answered from disk or compute;
+//! - [`router`]: the routing service the front end calls —
+//!   primary-then-replica failover on connection failure or 5xx,
+//!   per-node circuit breakers, and read-repair that re-warms replicas
+//!   whenever the serving node answered from disk or compute;
 //! - [`metrics`]: the router's own `/metrics` — per-node
 //!   request/error/latency, ring generation, failover and read-repair
 //!   totals.

@@ -10,6 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use memo_serve::hist::Histogram;
+use memo_serve::metrics::ConnectionCounters;
 
 use crate::topology::{Health, Node, Snapshot};
 
@@ -29,10 +30,9 @@ pub struct RouterMetrics {
     nodes: Vec<NodeStats>,
     /// Requests parsed off client connections.
     pub requests_total: AtomicU64,
-    /// Connections accepted off the listener.
-    pub connections_accepted: AtomicU64,
-    /// Connections shed 503 because the router queue was full.
-    pub queue_rejections: AtomicU64,
+    /// The front end's counters: connections accepted, queue sheds,
+    /// read timeouts (the router sets no deadline, so it sheds none).
+    pub connections: ConnectionCounters,
     /// Requests served by a non-primary owner (the primary was down,
     /// breaker-ejected, or failed mid-request).
     pub failovers: AtomicU64,
@@ -62,8 +62,7 @@ impl RouterMetrics {
                 })
                 .collect(),
             requests_total: AtomicU64::new(0),
-            connections_accepted: AtomicU64::new(0),
-            queue_rejections: AtomicU64::new(0),
+            connections: ConnectionCounters::default(),
             failovers: AtomicU64::new(0),
             read_repairs: AtomicU64::new(0),
             read_repair_failures: AtomicU64::new(0),
@@ -103,11 +102,6 @@ impl RouterMetrics {
             out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
         };
         counter("memo_router_requests_total", self.requests_total.load(Ordering::Relaxed));
-        counter(
-            "memo_router_connections_accepted_total",
-            self.connections_accepted.load(Ordering::Relaxed),
-        );
-        counter("memo_router_queue_rejections_total", self.queue_rejections.load(Ordering::Relaxed));
         counter("memo_router_failovers_total", self.failovers.load(Ordering::Relaxed));
         counter("memo_router_read_repairs_total", self.read_repairs.load(Ordering::Relaxed));
         counter(
@@ -117,6 +111,7 @@ impl RouterMetrics {
         counter("memo_router_repair_queue_drops_total", self.repair_drops.load(Ordering::Relaxed));
         counter("memo_router_no_backend_total", self.no_backend.load(Ordering::Relaxed));
         counter("memo_router_bad_gateway_total", self.bad_gateway.load(Ordering::Relaxed));
+        self.connections.render("memo_router", &mut out);
 
         out.push_str("# TYPE memo_router_ring_generation gauge\n");
         out.push_str(&format!("memo_router_ring_generation {}\n", snapshot.generation));

@@ -1,13 +1,14 @@
-//! The serving loop: accept → bounded queue → worker pool → backends.
+//! The routing tier: memo-serve's front end → placement → backends.
 //!
-//! The router reuses memo-serve's parts wholesale — same strict parser,
-//! same bounded queue and worker pool, same shedding discipline — and
-//! adds the placement logic on top. Each request is keyed exactly the
-//! way the backends key their caches ([`routes::cache_key`]), walked
-//! over the ring for its owners, and forwarded to the first owner whose
-//! circuit breaker admits it. A transport failure or 5xx moves on to
-//! the next owner (failover); 503 is relayed rather than retried
-//! blindly once all owners shed, because backpressure is information.
+//! The router serves through memo-serve's [`Frontend`] — the same strict
+//! parser, bounded queue, worker pool, connection rules and shedding
+//! discipline as a node — and adds the placement logic as its
+//! [`Service`]. Each request is keyed exactly the way the backends key
+//! their caches ([`routes::cache_key`]), walked over the ring for its
+//! owners, and forwarded to the first owner whose circuit breaker admits
+//! it. A transport failure or 5xx moves on to the next owner (failover);
+//! 503 is relayed rather than retried blindly once all owners shed,
+//! because backpressure is information.
 //!
 //! When the serving node answers from disk or compute — meaning its
 //! memory tier didn't have the artifact — the router enqueues a
@@ -20,19 +21,20 @@
 //! backend's HEAD reply carries no body, which would leave nothing to
 //! repair with and make the proxy guess at message framing.
 
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use memo_experiments::cache::TierBreaker;
 use memo_experiments::{env, ExpConfig};
-use memo_serve::http::{parse_request, ClientResponse, Request, Response, MAX_BODY, MAX_HEADER_BYTES};
-use memo_serve::pool::WorkerPool;
-use memo_serve::queue::{Bounded, PushError};
+use memo_serve::http::{ClientResponse, Request, Response, MAX_BODY};
+use memo_serve::metrics::ConnectionCounters;
 use memo_serve::routes;
+use memo_serve::server::{Frontend, Limits, Service};
 
 use crate::metrics::RouterMetrics;
 use crate::probe;
@@ -123,30 +125,77 @@ pub struct RouterState {
     /// Worker count, reported in `/metrics`.
     pub workers: usize,
     draining: Arc<AtomicBool>,
-    repairs: Bounded<Repair>,
+    /// The read-repair queue; `None` tells the warmer to stop.
+    repairs: SyncSender<Option<Repair>>,
+    /// Repair jobs sent and not yet taken by the warmer.
+    repairs_queued: AtomicUsize,
 }
 
-impl RouterState {
-    /// True once a drain has been requested.
-    #[must_use]
-    pub fn draining(&self) -> bool {
+impl Service for RouterState {
+    const NAME: &'static str = "memo-router";
+    const QUEUE_FULL: &'static str = "router queue full, retry shortly\n";
+
+    /// One routed response: local endpoints or a forwarded exchange.
+    fn respond(&self, req: &Request, queue_depth: usize) -> Response {
+        self.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
+        if req.method != "GET" && req.method != "HEAD" {
+            return Response::text(405, "only GET and HEAD are routed\n");
+        }
+        match req.path.as_str() {
+            "/healthz" => {
+                let body = if self.draining() {
+                    "draining\n".to_string()
+                } else {
+                    let snap = self.topology.snapshot();
+                    let fleet = self.topology.nodes().len();
+                    let up = snap.up_count();
+                    if up == fleet {
+                        "ok\n".to_string()
+                    } else if (0..fleet).any(|n| snap.routable(n)) {
+                        format!("degraded:{up}/{fleet}-up\n")
+                    } else {
+                        format!("degraded:no-backends:0/{fleet}-up\n")
+                    }
+                };
+                Response::text(200, body)
+            }
+            "/metrics" => {
+                let snap = self.topology.snapshot();
+                let text = self.metrics.render(
+                    self.topology.nodes(),
+                    &snap,
+                    queue_depth,
+                    self.repairs_queued.load(Ordering::Relaxed),
+                    self.workers,
+                    self.draining(),
+                );
+                Response::text(200, text)
+            }
+            "/quitquitquit" => {
+                self.start_drain();
+                Response::text(200, "draining\n")
+            }
+            _ => forward(self, req),
+        }
+    }
+
+    fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// Request a graceful drain.
-    pub fn start_drain(&self) {
+    fn start_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
+    }
+
+    fn connections(&self) -> &ConnectionCounters {
+        &self.metrics.connections
     }
 }
 
 /// A running router. Call [`shutdown`](RouterHandle::shutdown) then
 /// [`wait`](RouterHandle::wait) to stop it.
 pub struct RouterHandle {
-    addr: SocketAddr,
-    state: Arc<RouterState>,
-    queue: Arc<Bounded<(TcpStream, Instant)>>,
-    accept_thread: JoinHandle<()>,
-    pool: WorkerPool,
+    front: Frontend<RouterState>,
     prober: JoinHandle<()>,
     warmer: JoinHandle<()>,
 }
@@ -155,36 +204,28 @@ impl RouterHandle {
     /// The bound address (resolves port 0).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// Shared state, for inspection in tests.
     #[must_use]
     pub fn state(&self) -> &Arc<RouterState> {
-        &self.state
-    }
-
-    /// Connections currently queued for a worker.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.front.state()
     }
 
     /// Begin a graceful drain: stop accepting, serve what is queued.
     pub fn shutdown(&self) {
-        self.state.start_drain();
+        self.front.shutdown();
     }
 
     /// Block until every thread has exited: accept loop, workers,
     /// prober, and the repair warmer (which first drains queued jobs).
     pub fn wait(self) {
-        if self.accept_thread.join().is_err() {
-            eprintln!("[memo-router] accept thread panicked");
-        }
-        self.pool.join();
+        let state = Arc::clone(self.state());
+        self.front.wait();
         // No worker can enqueue repairs anymore; let the warmer finish
         // what was accepted, then exit.
-        self.state.repairs.close();
+        let _ = state.repairs.send(None);
         if self.warmer.join().is_err() {
             eprintln!("[memo-router] warmer thread panicked");
         }
@@ -193,9 +234,6 @@ impl RouterHandle {
         }
     }
 }
-
-/// How often the accept loop re-checks the drain flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Bind and start routing.
 ///
@@ -207,8 +245,6 @@ pub fn start(config: &RouterConfig) -> io::Result<RouterHandle> {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "router needs at least one node"));
     }
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
 
     let topology = Arc::new(Topology::new(config.nodes.clone()));
     let proxies: Arc<Vec<NodeProxy>> = Arc::new(
@@ -224,6 +260,7 @@ pub fn start(config: &RouterConfig) -> io::Result<RouterHandle> {
         .map(|_| TierBreaker::new(config.breaker_threshold, config.breaker_cooldown))
         .collect();
     let draining = Arc::new(AtomicBool::new(false));
+    let (repairs, jobs) = mpsc::sync_channel(config.repair_capacity.max(1));
     let state = Arc::new(RouterState {
         topology: Arc::clone(&topology),
         proxies: Arc::clone(&proxies),
@@ -233,171 +270,30 @@ pub fn start(config: &RouterConfig) -> io::Result<RouterHandle> {
         cfg: config.cfg,
         workers: config.workers.max(1),
         draining: Arc::clone(&draining),
-        repairs: Bounded::new(config.repair_capacity.max(1)),
+        repairs,
+        repairs_queued: AtomicUsize::new(0),
     });
-    let queue = Arc::new(Bounded::new(config.queue_capacity));
 
-    let worker_state = Arc::clone(&state);
-    let worker_queue = Arc::clone(&queue);
-    let pool = WorkerPool::spawn(
-        state.workers,
-        Arc::clone(&queue),
-        move |(stream, _accepted): (TcpStream, Instant)| {
-            handle_connection(&worker_state, &worker_queue, stream);
-        },
-    );
+    let limits = Limits {
+        workers: state.workers,
+        queue_capacity: config.queue_capacity,
+        read_timeout: config.read_timeout,
+        write_timeout: config.write_timeout,
+        queue_deadline: None,
+    };
+    let front = Frontend::start(listener, limits, Arc::clone(&state))?;
 
-    let warm_state = Arc::clone(&state);
     let warmer = thread::Builder::new()
         .name("memo-router-warm".to_string())
-        .spawn(move || warm_loop(&warm_state))
+        .spawn(move || warm_loop(&state, &jobs))
         .expect("spawn warmer thread");
-
     let prober =
         probe::spawn(topology, proxies, draining, config.probe_interval, config.probe_timeout);
-
-    let accept_state = Arc::clone(&state);
-    let accept_queue = Arc::clone(&queue);
-    let (read_timeout, write_timeout) = (config.read_timeout, config.write_timeout);
-    let accept_thread = thread::Builder::new()
-        .name("memo-router-accept".to_string())
-        .spawn(move || {
-            accept_loop(&listener, &accept_state, &accept_queue, read_timeout, write_timeout);
-            accept_queue.close();
-        })
-        .expect("spawn accept thread");
-
-    Ok(RouterHandle { addr, state, queue, accept_thread, pool, prober, warmer })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    state: &RouterState,
-    queue: &Bounded<(TcpStream, Instant)>,
-    read_timeout: Duration,
-    write_timeout: Duration,
-) {
-    while !state.draining() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                state.metrics.connections_accepted.fetch_add(1, Ordering::Relaxed);
-                // No Nagle on the client side, as on the nodes. The
-                // upstream sockets send one request per write and wait
-                // for its reply, so Nagle never holds them.
-                let configured = stream.set_nonblocking(false).is_ok()
-                    && stream.set_nodelay(true).is_ok()
-                    && stream.set_read_timeout(Some(read_timeout)).is_ok()
-                    && stream.set_write_timeout(Some(write_timeout)).is_ok();
-                if !configured {
-                    continue;
-                }
-                if let Err(err) = queue.try_push((stream, Instant::now())) {
-                    let (PushError::Full((mut stream, _)) | PushError::Closed((mut stream, _))) =
-                        err;
-                    state.metrics.queue_rejections.fetch_add(1, Ordering::Relaxed);
-                    let _ = Response::text(503, "router queue full, retry shortly\n")
-                        .with_header("retry-after", "1")
-                        .write_to(&mut stream, false, false);
-                }
-            }
-            Err(_) => thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-/// Serve one client connection until close, drain, or protocol error.
-fn handle_connection(
-    state: &Arc<RouterState>,
-    queue: &Bounded<(TcpStream, Instant)>,
-    mut stream: TcpStream,
-) {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    let mut scratch = Vec::with_capacity(8192);
-
-    loop {
-        loop {
-            match parse_request(&buf) {
-                Ok(Some((req, consumed))) => {
-                    buf.drain(..consumed);
-                    state.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-                    let response = respond(state, &req, queue.len(), &mut scratch);
-                    let keep_alive = req.keep_alive && !state.draining();
-                    let head_only = req.method == "HEAD";
-                    if response.write_to(&mut stream, keep_alive, head_only).is_err() {
-                        return;
-                    }
-                    if !keep_alive {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(err) => {
-                    let _ = Response::from_parse_error(&err).write_to(&mut stream, false, false);
-                    return;
-                }
-            }
-        }
-
-        if state.draining() && buf.is_empty() {
-            return;
-        }
-        if buf.len() > MAX_HEADER_BYTES + MAX_BODY {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return,
-        }
-    }
-}
-
-/// One routed response: local endpoints or a forwarded exchange.
-fn respond(state: &Arc<RouterState>, req: &Request, queue_depth: usize, scratch: &mut Vec<u8>) -> Response {
-    if req.method != "GET" && req.method != "HEAD" {
-        return Response::text(405, "only GET and HEAD are routed\n");
-    }
-    match req.path.as_str() {
-        "/healthz" => {
-            let body = if state.draining() {
-                "draining\n".to_string()
-            } else {
-                let snap = state.topology.snapshot();
-                let fleet = state.topology.nodes().len();
-                let up = snap.up_count();
-                if up == fleet {
-                    "ok\n".to_string()
-                } else if (0..fleet).any(|n| snap.routable(n)) {
-                    format!("degraded:{up}/{fleet}-up\n")
-                } else {
-                    format!("degraded:no-backends:0/{fleet}-up\n")
-                }
-            };
-            Response::text(200, body)
-        }
-        "/metrics" => {
-            let snap = state.topology.snapshot();
-            let text = state.metrics.render(
-                state.topology.nodes(),
-                &snap,
-                queue_depth,
-                state.repairs.len(),
-                state.workers,
-                state.draining(),
-            );
-            Response::text(200, text)
-        }
-        "/quitquitquit" => {
-            state.start_drain();
-            Response::text(200, "draining\n")
-        }
-        _ => forward(state, req, scratch),
-    }
+    Ok(RouterHandle { front, prober, warmer })
 }
 
 /// Forward `req` to its owners, failing over down the replica chain.
-fn forward(state: &Arc<RouterState>, req: &Request, scratch: &mut Vec<u8>) -> Response {
+fn forward(state: &RouterState, req: &Request) -> Response {
     let snap = state.topology.snapshot();
     // The same canonical key the backends cache under; targets outside
     // the artifact space (404s and friends) still need deterministic
@@ -414,6 +310,7 @@ fn forward(state: &Arc<RouterState>, req: &Request, scratch: &mut Vec<u8>) -> Re
 
     let mut last_shed: Option<ClientResponse> = None;
     let mut attempted = 0u32;
+    let mut scratch = Vec::new();
     for &node in &owners {
         if !state.breakers[node].allow() {
             continue;
@@ -424,7 +321,7 @@ fn forward(state: &Arc<RouterState>, req: &Request, scratch: &mut Vec<u8>) -> Re
         // Always GET upstream: a HEAD reply has no body to frame a
         // response around, let alone to repair replicas with. The
         // caller trims the body for HEAD clients.
-        match state.proxies[node].get(&req.raw_target, scratch) {
+        match state.proxies[node].get(&req.raw_target, &mut scratch) {
             Ok(resp) if resp.status < 500 => {
                 state.breakers[node].record_success();
                 stats.requests.fetch_add(1, Ordering::Relaxed);
@@ -477,7 +374,7 @@ fn forward(state: &Arc<RouterState>, req: &Request, scratch: &mut Vec<u8>) -> Re
 /// memory tier: the artifact exists in rendered form right here, so
 /// re-warming the other owners costs one POST each, not a re-render.
 fn maybe_repair(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     artifact_key: Option<&str>,
     resp: &ClientResponse,
     owners: &[usize],
@@ -495,15 +392,20 @@ fn maybe_repair(
         return;
     }
     let job = Repair { key: key.to_string(), body: resp.body.clone(), replicas };
-    if state.repairs.try_push(job).is_err() {
+    // Counted before the send, so the warmer never takes a job it has
+    // not yet seen counted.
+    state.repairs_queued.fetch_add(1, Ordering::Relaxed);
+    if state.repairs.try_send(Some(job)).is_err() {
+        state.repairs_queued.fetch_sub(1, Ordering::Relaxed);
         state.metrics.repair_drops.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 /// Drain the repair queue: one warming POST per replica per job.
-fn warm_loop(state: &Arc<RouterState>) {
+fn warm_loop(state: &RouterState, jobs: &Receiver<Option<Repair>>) {
     let mut scratch = Vec::with_capacity(4096);
-    while let Some(job) = state.repairs.pop() {
+    while let Ok(Some(job)) = jobs.recv() {
+        state.repairs_queued.fetch_sub(1, Ordering::Relaxed);
         for &replica in &job.replicas {
             match state.proxies[replica].warm(&job.key, &job.body, &mut scratch) {
                 Ok(resp) if resp.status == 200 => {
@@ -536,6 +438,7 @@ mod tests {
     use super::*;
     use memo_serve::server::{self, ServerConfig};
     use std::io::Write;
+    use std::net::TcpStream;
 
     fn backend(name: &str) -> (server::ServerHandle, Node) {
         let config = ServerConfig {

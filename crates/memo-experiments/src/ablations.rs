@@ -4,7 +4,6 @@
 //! table vs. private per-unit tables (§2.3, also named as future work in
 //! §4).
 
-use memo_sim::{Event, EventSink, MemoBank};
 use memo_table::{
     HashScheme, MemoConfig, MemoTable, Memoizer, OpKind, Replacement, SharedMemoTable,
 };
@@ -177,19 +176,6 @@ pub fn shared_vs_private(cfg: ExpConfig) -> Result<SharedVsPrivate, ExperimentEr
         shared_hit: shared_stats.lookup_hit_ratio(),
         port_conflicts: shared.port_stats().conflicts,
     })
-}
-
-/// `MemoProbeSink`-style helper so ablation traces can also be collected
-/// from cycle-level runs if needed.
-#[derive(Debug)]
-pub struct BankProbe(pub MemoBank);
-
-impl EventSink for BankProbe {
-    fn record(&mut self, event: Event) {
-        if let Event::Arith(op) = event {
-            self.0.execute(op);
-        }
-    }
 }
 
 /// Render all ablations as one report.

@@ -35,7 +35,7 @@ pub struct CacheStats {
     /// Lookups that joined another request's in-flight computation.
     pub coalesced: u64,
     /// Tiered lookups whose value was loaded from the persistent tier
-    /// instead of computed (see [`ShardedLru::get_or_compute_tiered`]).
+    /// instead of computed (see [`ShardedLru::get_or_compute_tiered_guarded`]).
     pub disk_hits: u64,
     /// Completed entries evicted by the capacity bound.
     pub evictions: u64,
@@ -48,7 +48,7 @@ pub struct CacheStats {
     pub approx_bytes: u64,
 }
 
-/// Which tier satisfied a [`ShardedLru::get_or_compute_tiered`] lookup.
+/// Which tier satisfied a [`ShardedLru::get_or_compute_tiered_guarded`] lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierOutcome {
     /// The value was already resident and complete in memory.
@@ -355,62 +355,15 @@ impl<K: Eq + Hash + Clone, V> ShardedLru<K, V> {
     }
 
     /// Like [`get_or_compute`](Self::get_or_compute), but with a
-    /// persistent tier between memory and computation: on a memory miss,
-    /// `load` is consulted first; only if it returns `None` does `compute`
-    /// run, and the fresh value is offered to `persist`. All of this
-    /// happens inside the per-key single-flight cell, so concurrent
-    /// requests for one key share a single load *or* computation, and
-    /// `persist` is called at most once per computed value.
-    ///
-    /// The returned [`TierOutcome`] says which tier answered for *this*
-    /// caller; coalesced waiters report [`TierOutcome::Computed`].
-    pub fn get_or_compute_tiered(
-        &self,
-        key: &K,
-        load: impl FnOnce() -> Option<V>,
-        persist: impl FnOnce(&V),
-        compute: impl FnOnce() -> V,
-    ) -> (Arc<V>, TierOutcome) {
-        let (cell, fresh) = self.lookup_cell(key);
-        if let Some(value) = cell.get() {
-            // Complete before we arrived (the lookup counted the hit).
-            return (Arc::clone(value), TierOutcome::Memory);
-        }
-
-        let mut ran = None;
-        let value = Arc::clone(cell.get_or_init(|| {
-            let (value, outcome) = match load() {
-                Some(value) => (value, TierOutcome::Disk),
-                None => {
-                    let value = compute();
-                    persist(&value);
-                    (value, TierOutcome::Computed)
-                }
-            };
-            ran = Some(outcome);
-            Arc::new(value)
-        }));
-        let outcome = match ran {
-            Some(outcome) => {
-                if outcome == TierOutcome::Disk {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                self.bytes.fetch_add((self.weigher)(&value) as u64, Ordering::Relaxed);
-                outcome
-            }
-            // Someone else's flight satisfied us while we raced to the
-            // cell; we did no tier probing ourselves.
-            None => TierOutcome::Computed,
-        };
-
-        if fresh && self.per_shard != usize::MAX {
-            self.evict_over_capacity(key);
-        }
-        (value, outcome)
-    }
-
-    /// [`get_or_compute_tiered`](Self::get_or_compute_tiered) with a
-    /// fallible persistent tier behind a [`TierBreaker`].
+    /// fallible persistent tier, guarded by a [`TierBreaker`], between
+    /// memory and computation: on a memory miss, `load` is consulted
+    /// first; only if it finds nothing does `compute` run, and the fresh
+    /// value is offered to `persist`. All of this happens inside the
+    /// per-key single-flight cell, so concurrent requests for one key
+    /// share a single load *or* computation, and `persist` is called at
+    /// most once per computed value. The returned [`TierOutcome`] says
+    /// which tier answered for *this* caller; coalesced waiters report
+    /// [`TierOutcome::Computed`].
     ///
     /// The degraded-mode ladder, per lookup:
     ///
@@ -672,30 +625,35 @@ mod tests {
     #[test]
     fn tiered_lookup_reports_the_answering_tier() {
         let cache: ShardedLru<u32, u32> = ShardedLru::unbounded(2);
+        let never_trips = TierBreaker::new(0, Duration::from_secs(1));
         // First request: no disk copy → computed (and persisted).
         let persisted = AtomicUsize::new(0);
-        let (v, outcome) = cache.get_or_compute_tiered(
+        let (v, outcome) = cache.get_or_compute_tiered_guarded(
             &1,
-            || None,
+            &never_trips,
+            || Ok(None),
             |_| {
                 persisted.fetch_add(1, Ordering::Relaxed);
+                Ok(())
             },
             || 10,
         );
         assert_eq!((*v, outcome), (10, TierOutcome::Computed));
         assert_eq!(persisted.load(Ordering::Relaxed), 1);
         // Second request for the same key: memory.
-        let (v, outcome) = cache.get_or_compute_tiered(
+        let (v, outcome) = cache.get_or_compute_tiered_guarded(
             &1,
+            &never_trips,
             || unreachable!("memory hit must not probe disk"),
             |_| unreachable!(),
             || unreachable!(),
         );
         assert_eq!((*v, outcome), (10, TierOutcome::Memory));
         // A key the disk knows: loaded, not computed.
-        let (v, outcome) = cache.get_or_compute_tiered(
+        let (v, outcome) = cache.get_or_compute_tiered_guarded(
             &2,
-            || Some(20),
+            &never_trips,
+            || Ok(Some(20)),
             |_| unreachable!("loaded values are not re-persisted"),
             || unreachable!("loaded values are not computed"),
         );
@@ -718,7 +676,14 @@ mod tests {
         cache.clear();
         assert_eq!(cache.stats().approx_bytes, 0);
         // The tiered path weighs loaded values too.
-        let (_, outcome) = cache.get_or_compute_tiered(&4, || Some(vec![0; 9]), |_| {}, Vec::new);
+        let never_trips = TierBreaker::new(0, Duration::from_secs(1));
+        let (_, outcome) = cache.get_or_compute_tiered_guarded(
+            &4,
+            &never_trips,
+            || Ok(Some(vec![0; 9])),
+            |_| Ok(()),
+            Vec::new,
+        );
         assert_eq!(outcome, TierOutcome::Disk);
         assert_eq!(cache.stats().approx_bytes, 9);
     }

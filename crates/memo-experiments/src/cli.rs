@@ -4,7 +4,11 @@
 //! `table5 --sacle=2` happily ran at default scale. The servers call
 //! [`enforce`] first and `memo-experiments` calls [`validate_word`]:
 //! `--help`/`-h` prints usage and exits 0, anything unrecognized prints
-//! usage to stderr and exits 2 (the conventional usage-error code).
+//! usage to stderr and exits 2 (the conventional usage-error code). The
+//! servers then read their flags through the [`Args`] that [`enforce`]
+//! returns, which exits 2 the same way on a value that does not parse.
+
+use std::str::FromStr;
 
 /// What to do with a parsed argument list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,11 +81,53 @@ pub fn usage(bin: &str, about: &str, flags: &[(&str, &str)]) -> String {
     out
 }
 
+/// The value `args` give the flag `prefix` (`--workers=`), parsed as
+/// `T`: `Ok(None)` when the flag is absent, an error naming the flag and
+/// the value when the value does not parse.
+fn flag_value<T: FromStr>(args: &[String], prefix: &str) -> Result<Option<T>, String> {
+    let Some(raw) = args.iter().find_map(|a| a.strip_prefix(prefix)) else {
+        return Ok(None);
+    };
+    raw.parse()
+        .map(Some)
+        .map_err(|_| format!("invalid value {raw:?} for {}", prefix.trim_end_matches('=')))
+}
+
+/// A binary's arguments, checked by [`enforce`].
+pub struct Args<'a> {
+    bin: &'a str,
+    about: &'a str,
+    flags: &'a [(&'a str, &'a str)],
+    args: Vec<String>,
+}
+
+impl Args<'_> {
+    /// The value of the flag `prefix` (`--workers=`) parsed as `T`, or
+    /// `None` when it is absent. A value that does not parse prints
+    /// usage to stderr and exits 2.
+    #[must_use]
+    pub fn value<T: FromStr>(&self, prefix: &str) -> Option<T> {
+        flag_value(&self.args, prefix).unwrap_or_else(|why| {
+            eprintln!("{}: {why}\n\n{}", self.bin, usage(self.bin, self.about, self.flags));
+            std::process::exit(2);
+        })
+    }
+
+    /// True when the exact flag `flag` (`--cluster`) was given.
+    #[must_use]
+    pub fn has(&self, flag: &str) -> bool {
+        self.args.iter().any(|a| a == flag)
+    }
+}
+
 /// Validate the process arguments, exiting on `--help` (code 0) or on an
-/// unknown flag (usage to stderr, code 2). Call first thing in `main`.
-pub fn enforce(bin: &str, about: &str, flags: &[(&str, &str)]) {
-    match validate(flags, std::env::args().skip(1)) {
-        Decision::Run => {}
+/// unknown flag (usage to stderr, code 2), and return them for reading.
+/// Call first thing in `main`.
+#[must_use]
+pub fn enforce<'a>(bin: &'a str, about: &'a str, flags: &'a [(&'a str, &'a str)]) -> Args<'a> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match validate(flags, args.iter().cloned()) {
+        Decision::Run => Args { bin, about, flags, args },
         Decision::Help => {
             println!("{}", usage(bin, about, flags));
             std::process::exit(0);
@@ -155,6 +201,24 @@ mod tests {
         for args in [&["--help"][..], &["table99", "-h"], &["table5", "--csv", "--help"]] {
             assert_eq!(check(args), Decision::Help, "{args:?}");
         }
+    }
+
+    #[test]
+    fn flag_values_parse_or_name_the_bad_value() {
+        let args = strings(&["--addr=127.0.0.1:0", "--workers=4", "--connections=eight"]);
+        assert_eq!(flag_value::<usize>(&args, "--workers="), Ok(Some(4)));
+        assert_eq!(flag_value::<String>(&args, "--addr=").unwrap().as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(flag_value::<usize>(&args, "--queue-cap="), Ok(None), "absent is not an error");
+        assert_eq!(
+            flag_value::<usize>(&args, "--connections="),
+            Err(r#"invalid value "eight" for --connections"#.to_string())
+        );
+        let empty = strings(&["--workers="]);
+        assert_eq!(
+            flag_value::<usize>(&empty, "--workers="),
+            Err(r#"invalid value "" for --workers"#.to_string())
+        );
+        assert!(flag_value::<u64>(&strings(&["--seed=-1"]), "--seed=").is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use memo_imaging::entropy;
 use memo_imaging::synth::CorpusImage;
 use memo_table::OpKind;
 use memo_workloads::mm;
-use memo_workloads::suite::{measure_mm_app, HitRatios, SweepSpec};
+use memo_workloads::suite::HitRatios;
 
 use crate::format::{ratio, TextTable};
 use crate::{parallel, traces, ExpConfig};
@@ -69,22 +69,6 @@ pub fn table8(cfg: ExpConfig) -> Vec<ImageRow> {
         let hits: Vec<HitRatios> = per_app.iter().map(|images| images[i].ratios()).collect();
         row(&corpus[i], &hits)
     })
-}
-
-/// Compute Table 8 rows for an arbitrary corpus (e.g. user-supplied PNM
-/// images) by running the applications natively.
-#[must_use]
-pub fn table8_for(corpus: &[CorpusImage]) -> Vec<ImageRow> {
-    let apps = mm::apps();
-    let spec = SweepSpec::paper_default();
-    corpus
-        .iter()
-        .map(|c| {
-            let hits: Vec<HitRatios> =
-                apps.iter().map(|app| measure_mm_app(app, &[&c.image], spec)).collect();
-            row(c, &hits)
-        })
-        .collect()
 }
 
 /// Render the Table 8 layout.

@@ -11,18 +11,19 @@
 //!   archive, `OpTrace`, the `MemoConfig` stable key encoding — probed by
 //!   an actual encoding canary, not just a version constant). A mismatch
 //!   wipes the store: stale blobs invalidate instead of misdecoding.
-//! * **typed load/save helpers** — rendered result blobs and operand
-//!   trace archives. Load failures (IO, corruption, decode) degrade to
-//!   `None`, i.e. "recompute"; save failures are swallowed after
-//!   recording the event, because persistence is an accelerator here,
-//!   never a correctness dependency.
+//! * **typed load/save helpers** for operand trace archives. Load
+//!   failures (IO, corruption, decode) degrade to `None`, i.e.
+//!   "recompute"; save failures are swallowed after recording the event,
+//!   because persistence is an accelerator here, never a correctness
+//!   dependency. (memo-serve persists rendered results itself, through
+//!   its own retry policy and disk breaker.)
 
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use memo_sim::{OpTrace, OP_TRACE_VERSION};
 use memo_store::codec::{self, RESULT_VERSION, TRACE_ARCHIVE_VERSION};
-use memo_store::{BlockCache, CachedBlock, ResultBlob, Store, StoreConfig, StoreError};
+use memo_store::{BlockCache, CachedBlock, Store, StoreConfig, StoreError};
 use memo_table::{MemoConfig, STABLE_ENCODING_VERSION};
 
 use crate::cache::ShardedLru;
@@ -146,23 +147,6 @@ pub fn uninstall() {
 #[must_use]
 pub fn installed() -> Option<Arc<Store>> {
     global().lock().expect("store handle poisoned").clone()
-}
-
-/// Load a rendered result blob. Any failure — no store, IO error,
-/// corrupt or foreign-format blob — is `None`: recompute.
-#[must_use]
-pub fn load_result(key: &str) -> Option<ResultBlob> {
-    let store = installed()?;
-    let bytes = store.get(key.as_bytes()).ok()??;
-    ResultBlob::from_bytes(&bytes).ok()
-}
-
-/// Persist a rendered result blob under `key`. Failures are swallowed:
-/// the disk tier accelerates restarts, it never gates a response.
-pub fn save_result(key: &str, blob: &ResultBlob) {
-    if let Some(store) = installed() {
-        let _ = store.put(key.as_bytes(), &blob.to_bytes());
-    }
 }
 
 /// Load an operand-trace archive (one `OpTrace` per part). `None` on any
@@ -321,11 +305,6 @@ mod tests {
         let store = open_guarded(&dir, StoreConfig::small_for_tests()).unwrap();
         install(store);
 
-        assert_eq!(load_result("results/x"), None);
-        let blob = ResultBlob { status: 200, body: b"| table |".to_vec() };
-        save_result("results/x", &blob);
-        assert_eq!(load_result("results/x"), Some(blob));
-
         let mut trace = OpTrace::new();
         trace.push(Op::FpDiv(355.0, 113.0));
         trace.push(Op::IntMul(6, 7));
@@ -336,8 +315,8 @@ mod tests {
         assert!(back[1].is_empty());
 
         uninstall();
-        assert_eq!(load_result("results/x"), None, "no store, no disk tier");
-        save_result("results/x", &ResultBlob { status: 200, body: vec![] }); // no-op, no panic
+        assert!(load_traces("traces/k").is_none(), "no store, no disk tier");
+        save_traces("traces/k", &[OpTrace::new()]); // no-op, no panic
         let _ = std::fs::remove_dir_all(&dir);
     }
 

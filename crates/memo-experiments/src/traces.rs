@@ -36,8 +36,7 @@
 //! keeping each application's full instruction stream, which is several
 //! times the size of its operand stream.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use memo_imaging::synth::{self, CorpusImage};
 use memo_sim::{OpTrace, TraceRecorderSink};
@@ -45,72 +44,50 @@ use memo_workloads::mm::MmApp;
 use memo_workloads::sci::SciApp;
 use memo_workloads::suite::{record_sci_trace, replay_stats, KindStats, SweepSpec};
 
+use crate::cache::ShardedLru;
 use crate::ExpConfig;
 
 type Key = (&'static str, usize);
 
-/// A lazily-filled, per-key-once cache. The outer map lock is held only
-/// to fetch the per-key cell; recording happens under the per-key
-/// [`OnceLock`], so concurrent requests for *different* keys record in
-/// parallel and concurrent requests for the *same* key record once.
-struct TraceCache<V> {
-    map: Mutex<HashMap<Key, Arc<OnceLock<V>>>>,
+/// One record-once map: [`ShardedLru`] unbounded, so concurrent requests
+/// for *different* keys record in parallel and concurrent requests for
+/// the *same* key record once.
+type TraceCache<V> = ShardedLru<Key, V>;
+
+fn corpus_cache() -> &'static TraceCache<Vec<CorpusImage>> {
+    static CACHE: OnceLock<TraceCache<Vec<CorpusImage>>> = OnceLock::new();
+    CACHE.get_or_init(|| ShardedLru::unbounded(8))
 }
 
-impl<V: Clone> TraceCache<V> {
-    fn new() -> Self {
-        TraceCache { map: Mutex::new(HashMap::new()) }
-    }
-
-    fn get_or_record(&self, key: Key, record: impl FnOnce() -> V) -> V {
-        let cell = {
-            let mut map = self.map.lock().expect("trace cache poisoned");
-            Arc::clone(map.entry(key).or_default())
-        };
-        cell.get_or_init(record).clone()
-    }
-
-    /// Forget every entry; a computation still in flight finishes into a
-    /// cell no later request sees.
-    fn clear(&self) {
-        self.map.lock().expect("trace cache poisoned").clear();
-    }
+fn mm_cache() -> &'static TraceCache<Vec<OpTrace>> {
+    static CACHE: OnceLock<TraceCache<Vec<OpTrace>>> = OnceLock::new();
+    CACHE.get_or_init(|| ShardedLru::unbounded(8))
 }
 
-fn corpus_cache() -> &'static TraceCache<Arc<Vec<CorpusImage>>> {
-    static CACHE: OnceLock<TraceCache<Arc<Vec<CorpusImage>>>> = OnceLock::new();
-    CACHE.get_or_init(TraceCache::new)
-}
-
-fn mm_cache() -> &'static TraceCache<Arc<Vec<OpTrace>>> {
-    static CACHE: OnceLock<TraceCache<Arc<Vec<OpTrace>>>> = OnceLock::new();
-    CACHE.get_or_init(TraceCache::new)
-}
-
-fn sci_cache() -> &'static TraceCache<Arc<OpTrace>> {
-    static CACHE: OnceLock<TraceCache<Arc<OpTrace>>> = OnceLock::new();
-    CACHE.get_or_init(TraceCache::new)
+fn sci_cache() -> &'static TraceCache<OpTrace> {
+    static CACHE: OnceLock<TraceCache<OpTrace>> = OnceLock::new();
+    CACHE.get_or_init(|| ShardedLru::unbounded(8))
 }
 
 fn mm_default_cache() -> &'static TraceCache<KindStats> {
     static CACHE: OnceLock<TraceCache<KindStats>> = OnceLock::new();
-    CACHE.get_or_init(TraceCache::new)
+    CACHE.get_or_init(|| ShardedLru::unbounded(8))
 }
 
-fn mm_image_default_cache() -> &'static TraceCache<Arc<Vec<KindStats>>> {
-    static CACHE: OnceLock<TraceCache<Arc<Vec<KindStats>>>> = OnceLock::new();
-    CACHE.get_or_init(TraceCache::new)
+fn mm_image_default_cache() -> &'static TraceCache<Vec<KindStats>> {
+    static CACHE: OnceLock<TraceCache<Vec<KindStats>>> = OnceLock::new();
+    CACHE.get_or_init(|| ShardedLru::unbounded(8))
 }
 
 fn sci_default_cache() -> &'static TraceCache<KindStats> {
     static CACHE: OnceLock<TraceCache<KindStats>> = OnceLock::new();
-    CACHE.get_or_init(TraceCache::new)
+    CACHE.get_or_init(|| ShardedLru::unbounded(8))
 }
 
 /// The Table 8 image corpus at `scale`, synthesized once per process.
 #[must_use]
 pub fn corpus(scale: usize) -> Arc<Vec<CorpusImage>> {
-    corpus_cache().get_or_record(("corpus", scale), || Arc::new(synth::corpus(scale)))
+    corpus_cache().get_or_compute(&("corpus", scale), || synth::corpus(scale))
 }
 
 /// The operand traces of one MM application, one per corpus image in
@@ -123,12 +100,12 @@ pub fn corpus(scale: usize) -> Arc<Vec<CorpusImage>> {
 /// written back so the next process replays from disk.
 #[must_use]
 pub fn mm_traces(cfg: ExpConfig, app: &MmApp) -> Arc<Vec<OpTrace>> {
-    mm_cache().get_or_record((app.name, cfg.image_scale), || {
+    mm_cache().get_or_compute(&(app.name, cfg.image_scale), || {
         let key = format!("traces/mm/{}/{}", app.name, cfg.image_scale);
         let corpus = corpus(cfg.image_scale);
         if let Some(traces) = crate::store::load_traces(&key) {
             if traces.len() == corpus.len() {
-                return Arc::new(traces);
+                return traces;
             }
             // Image-count mismatch: a stale or foreign archive. Re-record.
         }
@@ -141,7 +118,7 @@ pub fn mm_traces(cfg: ExpConfig, app: &MmApp) -> Arc<Vec<OpTrace>> {
             })
             .collect();
         crate::store::save_traces(&key, &traces);
-        Arc::new(traces)
+        traces
     })
 }
 
@@ -151,16 +128,16 @@ pub fn mm_traces(cfg: ExpConfig, app: &MmApp) -> Arc<Vec<OpTrace>> {
 /// recording natively, and writes fresh recordings back.
 #[must_use]
 pub fn sci_trace(cfg: ExpConfig, app: &SciApp) -> Arc<OpTrace> {
-    sci_cache().get_or_record((app.name, cfg.sci_n), || {
+    sci_cache().get_or_compute(&(app.name, cfg.sci_n), || {
         let key = format!("traces/sci/{}/{}", app.name, cfg.sci_n);
         if let Some(mut traces) = crate::store::load_traces(&key) {
             if traces.len() == 1 {
-                return Arc::new(traces.remove(0));
+                return traces.remove(0);
             }
         }
         let trace = record_sci_trace(app, cfg.sci_n);
         crate::store::save_traces(&key, std::slice::from_ref(&trace));
-        Arc::new(trace)
+        trace
     })
 }
 
@@ -168,7 +145,7 @@ pub fn sci_trace(cfg: ExpConfig, app: &SciApp) -> Arc<OpTrace> {
 /// corpus, replayed through one bank once per process.
 #[must_use]
 pub fn mm_paper_default(cfg: ExpConfig, app: &MmApp) -> KindStats {
-    mm_default_cache().get_or_record((app.name, cfg.image_scale), || {
+    *mm_default_cache().get_or_compute(&(app.name, cfg.image_scale), || {
         let bank = replay_stats(mm_traces(cfg, app).iter(), SweepSpec::paper_default());
         KindStats::from_bank(&bank)
     })
@@ -178,12 +155,11 @@ pub fn mm_paper_default(cfg: ExpConfig, app: &MmApp) -> KindStats {
 /// in corpus order, each replayed through a fresh bank once per process.
 #[must_use]
 pub fn mm_image_paper_defaults(cfg: ExpConfig, app: &MmApp) -> Arc<Vec<KindStats>> {
-    mm_image_default_cache().get_or_record((app.name, cfg.image_scale), || {
-        let per_image = mm_traces(cfg, app)
+    mm_image_default_cache().get_or_compute(&(app.name, cfg.image_scale), || {
+        mm_traces(cfg, app)
             .iter()
             .map(|trace| KindStats::from_bank(&replay_stats([trace], SweepSpec::paper_default())))
-            .collect();
-        Arc::new(per_image)
+            .collect()
     })
 }
 
@@ -191,7 +167,7 @@ pub fn mm_image_paper_defaults(cfg: ExpConfig, app: &MmApp) -> Arc<Vec<KindStats
 /// replayed once per process.
 #[must_use]
 pub fn sci_paper_default(cfg: ExpConfig, app: &SciApp) -> KindStats {
-    sci_default_cache().get_or_record((app.name, cfg.sci_n), || {
+    *sci_default_cache().get_or_compute(&(app.name, cfg.sci_n), || {
         KindStats::from_bank(&replay_stats([&*sci_trace(cfg, app)], SweepSpec::paper_default()))
     })
 }

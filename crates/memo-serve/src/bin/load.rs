@@ -27,46 +27,38 @@ const FLAGS: [(&str, &str); 10] = [
     ("--expect-warm", "fail unless some responses came from cache (memory or disk)"),
 ];
 
-fn value_of(prefix: &str) -> Option<String> {
-    std::env::args().find_map(|a| a.strip_prefix(prefix).map(str::to_string))
-}
-
 fn main() {
-    cli::enforce(
+    let args = cli::enforce(
         "memo-load",
         "Generates deterministic load against a running memo-serve and reports latency.",
         &FLAGS,
     );
     let mut config = LoadConfig::default();
-    if let Some(addr) = value_of("--addr=") {
+    if let Some(addr) = args.value("--addr=") {
         config.addr = addr;
     }
-    config.cluster = std::env::args().any(|a| a == "--cluster");
-    if let Some(v) = value_of("--connections=").and_then(|v| v.parse::<usize>().ok()) {
+    config.cluster = args.has("--cluster");
+    if let Some(v) = args.value::<usize>("--connections=") {
         config.connections = v.max(1);
     }
-    if let Some(v) = value_of("--duration-s=").and_then(|v| v.parse::<u64>().ok()) {
+    if let Some(v) = args.value::<u64>("--duration-s=") {
         config.duration = Duration::from_secs(v.max(1));
     }
-    if let Some(v) = value_of("--seed=").and_then(|v| v.parse::<u64>().ok()) {
+    if let Some(v) = args.value("--seed=") {
         config.seed = v;
     }
-    if let Some(raw) = value_of("--store-miss-rate=") {
-        match raw.parse::<f64>() {
-            Ok(f) if (0.0..=1.0).contains(&f) => {
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                {
-                    config.store_miss_permille = (f * 1000.0).round() as u32;
-                }
-            }
-            _ => {
-                eprintln!("memo-load: --store-miss-rate must be a fraction in [0, 1], got {raw:?}");
-                std::process::exit(2);
-            }
+    if let Some(f) = args.value::<f64>("--store-miss-rate=") {
+        if !(0.0..=1.0).contains(&f) {
+            eprintln!("memo-load: --store-miss-rate must be a fraction in [0, 1], got {f}");
+            std::process::exit(2);
+        }
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        {
+            config.store_miss_permille = (f * 1000.0).round() as u32;
         }
     }
-    let rate = value_of("--rate=").and_then(|v| v.parse::<u32>().ok()).unwrap_or(50);
-    match value_of("--mode=").as_deref() {
+    let rate = args.value("--rate=").unwrap_or(50);
+    match args.value::<String>("--mode=").as_deref() {
         None | Some("closed") => config.mode = Mode::Closed,
         Some("open") => config.mode = Mode::Open { rate },
         Some(other) => {
@@ -74,7 +66,7 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let out_path = value_of("--out=").unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let out_path = args.value("--out=").unwrap_or_else(|| "BENCH_serve.json".to_string());
 
     println!(
         "memo-load: {} connections against {} for {:?} ({} mode, seed {})",
@@ -117,8 +109,7 @@ fn main() {
         );
         std::process::exit(3);
     }
-    let expect_warm = std::env::args().any(|a| a == "--expect-warm");
-    if expect_warm && report.cache_hits + report.cache_disk_hits == 0 {
+    if args.has("--expect-warm") && report.cache_hits + report.cache_disk_hits == 0 {
         eprintln!(
             "memo-load: --expect-warm, but every artifact response was computed fresh \
              (memory hits = 0, disk hits = 0) — is the cache or store wired up?"

@@ -17,43 +17,35 @@ const FLAGS: [(&str, &str); 8] = [
     ("--node-id=", "cluster identity stamped on responses as x-memo-node"),
 ];
 
-fn value_of(prefix: &str) -> Option<String> {
-    std::env::args().find_map(|a| a.strip_prefix(prefix).map(str::to_string))
-}
-
-fn usize_flag(prefix: &str) -> Option<usize> {
-    value_of(prefix).and_then(|v| v.parse().ok())
-}
-
 fn main() {
-    cli::enforce(
+    let args = cli::enforce(
         "memo-serve",
         "Serves tables, figures, and custom sweeps over HTTP with a memoizing result cache.",
         &FLAGS,
     );
     let mut config = ServerConfig::default();
-    if let Some(addr) = value_of("--addr=") {
+    if let Some(addr) = args.value("--addr=") {
         config.addr = addr;
     }
-    if let Some(v) = usize_flag("--workers=") {
+    if let Some(v) = args.value::<usize>("--workers=") {
         config.workers = v.max(1);
     }
-    if let Some(v) = usize_flag("--queue-cap=") {
+    if let Some(v) = args.value::<usize>("--queue-cap=") {
         config.queue_capacity = v.max(1);
     }
-    if let Some(v) = usize_flag("--cache-cap=") {
+    if let Some(v) = args.value::<usize>("--cache-cap=") {
         config.cache_capacity = v.max(8);
     }
-    if let Some(ms) = usize_flag("--read-timeout-ms=") {
-        config.read_timeout = Duration::from_millis(ms.max(1) as u64);
+    if let Some(ms) = args.value::<u64>("--read-timeout-ms=") {
+        config.read_timeout = Duration::from_millis(ms.max(1));
     }
-    if let Some(ms) = usize_flag("--write-timeout-ms=") {
-        config.write_timeout = Duration::from_millis(ms.max(1) as u64);
+    if let Some(ms) = args.value::<u64>("--write-timeout-ms=") {
+        config.write_timeout = Duration::from_millis(ms.max(1));
     }
-    if let Some(dir) = value_of("--store-dir=") {
+    if let Some(dir) = args.value::<String>("--store-dir=") {
         config.store_dir = Some(dir.into());
     }
-    if let Some(id) = value_of("--node-id=").filter(|id| !id.is_empty()) {
+    if let Some(id) = args.value::<String>("--node-id=").filter(|id| !id.is_empty()) {
         config.node_id = Some(id);
     }
 

@@ -7,15 +7,17 @@
 //! suite, so repeated requests for a table, figure, or sweep skip the
 //! replay entirely. The moving parts mirror the hardware shape:
 //!
-//! - [`queue`]: a bounded reservation queue with explicit shedding
-//!   (503 + `Retry-After`) instead of unbounded buffering;
-//! - [`pool`]: a fixed set of workers — the functional units;
+//! - [`server`]: the front end — accept loop, a bounded reservation
+//!   queue with explicit shedding (503 + `Retry-After`) instead of
+//!   unbounded buffering, a fixed set of workers (the functional
+//!   units), timeouts and graceful drain. It is generic over the
+//!   [`server::Service`] that answers requests, so memo-cluster's
+//!   router runs the same front end;
 //! - [`routes`]: the lookup table — canonical `(experiment, config)`
 //!   keys into a sharded LRU with single-flight dedup;
 //! - [`http`]: a strict, bounded HTTP/1.1 parser/serializer;
 //! - [`metrics`] + [`hist`]: counters and lock-free latency histograms
 //!   behind `/metrics`;
-//! - [`server`]: accept loop, timeouts, graceful drain;
 //! - [`load`]: a deterministic load generator (`memo-load`) writing
 //!   `BENCH_serve.json`.
 //!
@@ -31,7 +33,7 @@ pub mod hist;
 pub mod http;
 pub mod load;
 pub mod metrics;
-pub mod pool;
-pub mod queue;
+mod pool;
+mod queue;
 pub mod routes;
 pub mod server;

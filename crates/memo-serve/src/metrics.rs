@@ -114,33 +114,69 @@ impl EndpointStats {
     }
 }
 
+/// The counters a [`Frontend`](crate::server::Frontend) keeps for the
+/// tier it serves. Each tier's `/metrics` renders them under its own
+/// prefix ([`render`](Self::render)).
+#[derive(Debug, Default)]
+pub struct ConnectionCounters {
+    /// Connections accepted off the listener.
+    pub connections_accepted: AtomicU64,
+    /// Connections shed with 503 because the queue was full.
+    pub queue_rejections: AtomicU64,
+    /// Connections closed by the read timeout (with 408 when they held
+    /// part of a request).
+    pub timeouts: AtomicU64,
+    /// Requests answered 503 because their deadline budget ran out (in
+    /// the queue or before rendering) instead of stalling a worker. Only
+    /// nodes set a deadline.
+    pub deadline_exceeded: AtomicU64,
+}
+
+impl ConnectionCounters {
+    /// Append the counters to a `/metrics` exposition as
+    /// `{prefix}_<counter>_total`.
+    pub fn render(&self, prefix: &str, out: &mut String) {
+        for (name, counter) in [
+            ("queue_rejections", &self.queue_rejections),
+            ("connections_accepted", &self.connections_accepted),
+            ("timeouts", &self.timeouts),
+            ("deadline_exceeded", &self.deadline_exceeded),
+        ] {
+            let value = counter.load(Ordering::Relaxed);
+            out.push_str(&format!("# TYPE {prefix}_{name}_total counter\n{prefix}_{name}_total {value}\n"));
+        }
+    }
+}
+
 /// All counters for one server instance.
 pub struct Metrics {
     endpoints: Vec<EndpointStats>,
-    /// Connections rejected with 503 because the request queue was full.
-    pub queue_rejections: AtomicU64,
-    /// Connections accepted off the listener.
-    pub connections_accepted: AtomicU64,
+    /// The front end's counters. They read as fields of `Metrics` too
+    /// (`metrics.timeouts`), through `Deref`.
+    pub connections: ConnectionCounters,
     /// Requests that hit the server-side result cache in memory.
     pub cache_hits: AtomicU64,
     /// Requests served by loading a persisted result from the store.
     pub cache_disk_hits: AtomicU64,
     /// Requests that computed (or waited on) a fresh result.
     pub cache_misses: AtomicU64,
-    /// Requests closed early by a read/write timeout.
-    pub timeouts: AtomicU64,
     /// Store operations (load or persist) that ultimately failed after
     /// retries — each one also charged the disk-tier breaker.
     pub store_io_errors: AtomicU64,
     /// Retries spent on transient store errors (attempts beyond the
     /// first, summed over all store operations).
     pub store_retries: AtomicU64,
-    /// Requests answered 503 because their deadline budget ran out
-    /// (in the queue or before rendering) instead of stalling a worker.
-    pub deadline_exceeded: AtomicU64,
     /// Artifacts installed through `POST /v1/warm` (the cluster
     /// router's read-repair path re-warming this replica).
     pub warms: AtomicU64,
+}
+
+impl std::ops::Deref for Metrics {
+    type Target = ConnectionCounters;
+
+    fn deref(&self) -> &ConnectionCounters {
+        &self.connections
+    }
 }
 
 impl Default for Metrics {
@@ -155,15 +191,12 @@ impl Metrics {
     pub fn new() -> Self {
         Metrics {
             endpoints: Endpoint::ALL.iter().map(|_| EndpointStats::new()).collect(),
-            queue_rejections: AtomicU64::new(0),
-            connections_accepted: AtomicU64::new(0),
+            connections: ConnectionCounters::default(),
             cache_hits: AtomicU64::new(0),
             cache_disk_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
             store_io_errors: AtomicU64::new(0),
             store_retries: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
             warms: AtomicU64::new(0),
         }
     }
@@ -275,23 +308,7 @@ impl Metrics {
         out.push_str(&format!("memo_serve_workers {workers}\n"));
         out.push_str("# TYPE memo_serve_draining gauge\n");
         out.push_str(&format!("memo_serve_draining {}\n", u8::from(draining)));
-        out.push_str("# TYPE memo_serve_queue_rejections_total counter\n");
-        out.push_str(&format!(
-            "memo_serve_queue_rejections_total {}\n",
-            g(self.queue_rejections.load(Ordering::Relaxed))
-        ));
-        out.push_str("# TYPE memo_serve_connections_accepted_total counter\n");
-        out.push_str(&format!(
-            "memo_serve_connections_accepted_total {}\n",
-            g(self.connections_accepted.load(Ordering::Relaxed))
-        ));
-        out.push_str("# TYPE memo_serve_timeouts_total counter\n");
-        out.push_str(&format!("memo_serve_timeouts_total {}\n", g(self.timeouts.load(Ordering::Relaxed))));
-        out.push_str("# TYPE memo_serve_deadline_exceeded_total counter\n");
-        out.push_str(&format!(
-            "memo_serve_deadline_exceeded_total {}\n",
-            g(self.deadline_exceeded.load(Ordering::Relaxed))
-        ));
+        self.connections.render("memo_serve", &mut out);
         out.push_str("# TYPE memo_serve_warms_total counter\n");
         out.push_str(&format!("memo_serve_warms_total {}\n", g(self.warms.load(Ordering::Relaxed))));
         out.push_str("# TYPE memo_store_io_errors_total counter\n");

@@ -47,6 +47,7 @@ impl WorkerPool {
     }
 
     /// Number of worker threads.
+    #[cfg(test)]
     #[must_use]
     pub fn workers(&self) -> usize {
         self.handles.len()

@@ -102,12 +102,6 @@ impl<T> Bounded<T> {
         self.inner.lock().expect("queue poisoned").items.len()
     }
 
-    /// True when nothing is queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Items queued beyond those the consumers blocked in
     /// [`pop`](Self::pop) are about to take: work that waits for a busy
     /// consumer. A push wakes an idle consumer, but the item stays in

@@ -24,6 +24,7 @@ use memo_store::{ResultBlob, RetryPolicy, Store};
 
 use crate::http::{Request, Response};
 use crate::metrics::{CacheOutcome, Endpoint, Metrics};
+use crate::server::Service;
 
 /// Shared state behind every worker.
 pub struct AppState {
@@ -76,17 +77,6 @@ impl AppState {
             workers,
             node_id: None,
         }
-    }
-
-    /// True once a drain has been requested.
-    #[must_use]
-    pub fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
-    /// Request a graceful drain.
-    pub fn start_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
     }
 }
 

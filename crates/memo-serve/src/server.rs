@@ -1,4 +1,5 @@
-//! The TCP front end: accept loop → bounded queue → worker pool.
+//! The TCP front end both serving tiers run: listener → accept loop →
+//! bounded queue → worker pool → connection loop.
 //!
 //! The shape deliberately mirrors the paper's memo unit: a bounded
 //! reservation queue in front of a fixed set of execution resources,
@@ -6,6 +7,12 @@
 //! buffering when demand exceeds capacity. Shutdown is a drain: the
 //! accept loop stops, queued connections are still served, workers exit
 //! when the queue runs dry.
+//!
+//! [`Frontend`] owns all of that and is generic over a [`Service`], the
+//! tier-specific half that turns a parsed request into a response: a
+//! node's [`AppState`] here, the router's routing state in memo-cluster.
+//! Both tiers therefore share one set of connection rules and one place
+//! to count and time them.
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -19,8 +26,8 @@ use memo_experiments::cache::TierBreaker;
 use memo_experiments::{env, store, ExpConfig};
 use memo_store::Store;
 
-use crate::http::{parse_request, Response, MAX_HEADER_BYTES, MAX_BODY};
-use crate::metrics::{CacheOutcome, Endpoint};
+use crate::http::{parse_request, Request, Response, MAX_BODY, MAX_HEADER_BYTES};
+use crate::metrics::{CacheOutcome, ConnectionCounters, Endpoint};
 use crate::pool::WorkerPool;
 use crate::queue::{Bounded, PushError};
 use crate::routes::{self, AppState};
@@ -85,27 +92,116 @@ impl Default for ServerConfig {
     }
 }
 
-/// A running server. Dropping the handle does not stop it; call
-/// [`shutdown`](ServerHandle::shutdown) then [`wait`](ServerHandle::wait).
-pub struct ServerHandle {
+/// The tier-specific half of a server: what a [`Frontend`] asks of it
+/// for each parsed request, and the state it reads between requests.
+pub trait Service: Send + Sync + 'static {
+    /// Prefix of thread names and log lines (`memo-serve`, `memo-router`).
+    const NAME: &'static str;
+    /// Body of the 503 a connection gets when the queue is full.
+    const QUEUE_FULL: &'static str;
+
+    /// Answer one parsed request. `queue_depth` is the connections
+    /// waiting for a worker, for `/metrics`.
+    fn respond(&self, req: &Request, queue_depth: usize) -> Response;
+
+    /// True once a drain has been requested: the accept loop stops and
+    /// idle connections close.
+    fn draining(&self) -> bool;
+
+    /// Request a graceful drain.
+    fn start_drain(&self);
+
+    /// The counters this tier's `/metrics` reports the front end under.
+    fn connections(&self) -> &ConnectionCounters;
+
+    /// Count a response the front end wrote without calling
+    /// [`respond`](Self::respond): a shed connection or an unparseable
+    /// request.
+    fn answered(&self, _status: u16) {}
+
+    /// Called once the drain is over and the last worker has exited.
+    fn drained(&self) {}
+}
+
+/// How a [`Frontend`] treats its connections.
+#[derive(Debug, Clone, Copy)]
+pub struct Limits {
+    /// Worker threads (at least one runs).
+    pub workers: usize,
+    /// Connections queued before shedding with 503.
+    pub queue_capacity: usize,
+    /// How long a connection may stay silent, counted from the last byte
+    /// received or response sent, before it is closed (with 408 when it
+    /// holds part of a request).
+    pub read_timeout: Duration,
+    /// Per-connection socket write timeout.
+    pub write_timeout: Duration,
+    /// A connection that waited longer than this for a worker is shed
+    /// with 503 before any bytes are read; `None` never sheds.
+    pub queue_deadline: Option<Duration>,
+}
+
+/// A connection and when the accept loop queued it.
+type Queued = (TcpStream, Instant);
+
+/// A running front end. Dropping it does not stop it; call
+/// [`shutdown`](Frontend::shutdown) (or have the service drain) then
+/// [`wait`](Frontend::wait).
+pub struct Frontend<S> {
     addr: SocketAddr,
-    state: Arc<AppState>,
-    queue: Arc<Bounded<(TcpStream, Instant)>>,
+    service: Arc<S>,
+    queue: Arc<Bounded<Queued>>,
     accept_thread: JoinHandle<()>,
     pool: WorkerPool,
 }
 
-impl ServerHandle {
+impl<S: Service> Frontend<S> {
+    /// Serve `service` on `listener` until the service drains.
+    ///
+    /// # Errors
+    ///
+    /// When the listener cannot be made nonblocking or has no address.
+    ///
+    /// # Panics
+    ///
+    /// If `limits.queue_capacity` is zero, or if the OS refuses to spawn
+    /// a thread.
+    pub fn start(listener: TcpListener, limits: Limits, service: Arc<S>) -> io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
+        let queue = Arc::new(Bounded::new(limits.queue_capacity));
+
+        let worker_service = Arc::clone(&service);
+        let worker_queue = Arc::clone(&queue);
+        let pool =
+            WorkerPool::spawn(limits.workers.max(1), Arc::clone(&queue), move |(stream, accepted): Queued| {
+                serve_connection(&*worker_service, &worker_queue, &limits, stream, accepted);
+            });
+
+        let accept_service = Arc::clone(&service);
+        let accept_queue = Arc::clone(&queue);
+        let accept_thread = thread::Builder::new()
+            .name(format!("{}-accept", S::NAME))
+            .spawn(move || {
+                accept_loop(&listener, &*accept_service, &accept_queue, limits.write_timeout);
+                // No new connections past this point; let the workers drain.
+                accept_queue.close();
+            })
+            .expect("spawn accept thread");
+
+        Ok(Frontend { addr, service, queue, accept_thread, pool })
+    }
+
     /// The bound address (resolves port 0).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Shared state, for inspection in tests.
+    /// The service's shared state, for inspection in tests.
     #[must_use]
-    pub fn state(&self) -> &Arc<AppState> {
-        &self.state
+    pub fn state(&self) -> &Arc<S> {
+        &self.service
     }
 
     /// Connections currently queued for a worker.
@@ -116,19 +212,56 @@ impl ServerHandle {
 
     /// Begin a graceful drain: stop accepting, serve what is queued.
     pub fn shutdown(&self) {
-        self.state.start_drain();
+        self.service.start_drain();
     }
 
-    /// Block until the accept loop and all workers have exited. Call
-    /// after [`shutdown`](Self::shutdown) (or a `/quitquitquit` hit).
-    /// Flushes the persistent store once the last worker is done, so a
-    /// drained server leaves everything it rendered on disk.
+    /// Block until the accept loop and all workers have exited, then
+    /// tell the service it has [`drained`](Service::drained). Call after
+    /// [`shutdown`](Self::shutdown) (or a `/quitquitquit` hit).
     pub fn wait(self) {
         if self.accept_thread.join().is_err() {
-            eprintln!("[memo-serve] accept thread panicked");
+            eprintln!("[{}] accept thread panicked", S::NAME);
         }
         self.pool.join();
-        if let Some(store) = &self.state.store {
+        self.service.drained();
+    }
+}
+
+impl Service for AppState {
+    const NAME: &'static str = "memo-serve";
+    const QUEUE_FULL: &'static str = "request queue full, retry shortly\n";
+
+    // Inlined into the connection loop: as a call of its own it cost
+    // `serve_hot` about 4% of its throughput (5 benchmark pairs, 2-vCPU VM).
+    #[inline]
+    fn respond(&self, req: &Request, queue_depth: usize) -> Response {
+        let start = Instant::now();
+        let routed = routes::handle(self, req, queue_depth);
+        let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.metrics.observe(routed.endpoint, routed.response.status, routed.cache, micros);
+        routed.response
+    }
+
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+
+    fn start_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+    }
+
+    fn connections(&self) -> &ConnectionCounters {
+        &self.metrics.connections
+    }
+
+    fn answered(&self, status: u16) {
+        self.metrics.observe(Endpoint::Other, status, CacheOutcome::Uncached, 0);
+    }
+
+    /// Flush the persistent store, so a drained server leaves everything
+    /// it rendered on disk.
+    fn drained(&self) {
+        if let Some(store) = &self.store {
             if let Err(err) = store.flush() {
                 eprintln!("[memo-serve] store flush on drain failed: {err}");
             }
@@ -136,23 +269,23 @@ impl ServerHandle {
     }
 }
 
+/// A running memo-serve node.
+pub type ServerHandle = Frontend<AppState>;
+
 /// How often the accept loop re-checks the drain flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// How long one read on an accepted connection waits before its worker
-/// looks again at the queue and the read timeout.
+/// looks again at the queue, the drain flag and the read timeout.
 const READ_SLICE: Duration = Duration::from_millis(5);
 
 /// Bind and start serving.
 ///
 /// # Errors
 ///
-/// Propagates the bind failure.
+/// Propagates the bind failure, or a failure to open the store.
 pub fn start(config: &ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-
     let workers = config.workers.max(1);
     let mut state = AppState::new(config.cfg, config.cache_capacity, workers);
     state.disk_breaker = Arc::new(TierBreaker::new(config.breaker_threshold, config.breaker_cooldown));
@@ -183,41 +316,27 @@ pub fn start(config: &ServerConfig) -> io::Result<ServerHandle> {
             }
         }));
     }
-    let state = Arc::new(state);
-    let queue = Arc::new(Bounded::new(config.queue_capacity));
-
-    let worker_state = Arc::clone(&state);
-    let worker_queue = Arc::clone(&queue);
-    let (read_timeout, write_timeout) = (config.read_timeout, config.write_timeout);
-    let pool =
-        WorkerPool::spawn(workers, Arc::clone(&queue), move |(stream, accepted): (TcpStream, Instant)| {
-            handle_connection(&worker_state, &worker_queue, stream, accepted, read_timeout);
-        });
-
-    let accept_state = Arc::clone(&state);
-    let accept_queue = Arc::clone(&queue);
-    let accept_thread = thread::Builder::new()
-        .name("memo-serve-accept".to_string())
-        .spawn(move || {
-            accept_loop(&listener, &accept_state, &accept_queue, write_timeout);
-            // No new connections past this point; let the workers drain.
-            accept_queue.close();
-        })
-        .expect("spawn accept thread");
-
-    Ok(ServerHandle { addr, state, queue, accept_thread, pool })
+    let limits = Limits {
+        workers,
+        queue_capacity: config.queue_capacity,
+        read_timeout: config.read_timeout,
+        write_timeout: config.write_timeout,
+        queue_deadline: Some(config.request_deadline),
+    };
+    Frontend::start(listener, limits, Arc::new(state))
 }
 
-fn accept_loop(
+fn accept_loop<S: Service>(
     listener: &TcpListener,
-    state: &AppState,
-    queue: &Bounded<(TcpStream, Instant)>,
+    service: &S,
+    queue: &Bounded<Queued>,
     write_timeout: Duration,
 ) {
-    while !state.draining() {
+    let counters = service.connections();
+    while !service.draining() {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                state.metrics.connections_accepted.fetch_add(1, Ordering::Relaxed);
+                counters.connections_accepted.fetch_add(1, Ordering::Relaxed);
                 // The listener is nonblocking; the accepted stream must
                 // not be, or reads would spin instead of blocking with a
                 // timeout. No Nagle: a pipelined second response would
@@ -232,26 +351,28 @@ fn accept_loop(
                 if let Err(err) = queue.try_push((stream, Instant::now())) {
                     let (PushError::Full((mut stream, _)) | PushError::Closed((mut stream, _))) =
                         err;
-                    state.metrics.queue_rejections.fetch_add(1, Ordering::Relaxed);
-                    state.metrics.observe(Endpoint::Other, 503, CacheOutcome::Uncached, 0);
-                    let _ = Response::text(503, "request queue full, retry shortly\n")
-                        .with_header("retry-after", "1")
-                        .write_to(&mut stream, false, false);
+                    counters.queue_rejections.fetch_add(1, Ordering::Relaxed);
+                    shed(service, &mut stream, S::QUEUE_FULL);
                 }
             }
-            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
             Err(_) => thread::sleep(ACCEPT_POLL),
         }
     }
+}
+
+/// Answer 503 with `retry-after: 1` and let the connection close.
+fn shed<S: Service>(service: &S, stream: &mut TcpStream, why: &str) {
+    service.answered(503);
+    let _ = Response::text(503, why).with_header("retry-after", "1").write_to(stream, false, false);
 }
 
 /// Serve one connection until close, drain, timeout, release, or
 /// protocol error.
 ///
 /// `accepted` is when the accept loop queued the connection: one that
-/// sat in the queue past the request deadline is shed with 503 before
-/// any bytes are read — a stalled disk must not turn the queue into an
-/// unbounded latency amplifier.
+/// sat in the queue past [`Limits::queue_deadline`] is shed with 503
+/// before any bytes are read — a stalled disk must not turn the queue
+/// into an unbounded latency amplifier.
 ///
 /// A worker does not sit on a keep-alive connection while others queue
 /// for a busy worker: a response written then says `connection: close`,
@@ -261,19 +382,17 @@ fn accept_loop(
 /// timeout still counts from the last byte received or response sent.
 /// A connection holding part of a request, or still waiting for its
 /// first, is never released.
-fn handle_connection(
-    state: &AppState,
-    queue: &Bounded<(TcpStream, Instant)>,
+fn serve_connection<S: Service>(
+    service: &S,
+    queue: &Bounded<Queued>,
+    limits: &Limits,
     mut stream: TcpStream,
     accepted: Instant,
-    read_timeout: Duration,
 ) {
-    if accepted.elapsed() > state.deadline {
-        state.metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        state.metrics.observe(Endpoint::Other, 503, CacheOutcome::Uncached, 0);
-        let _ = Response::text(503, "spent too long queued; retry shortly\n")
-            .with_header("retry-after", "1")
-            .write_to(&mut stream, false, false);
+    let counters = service.connections();
+    if limits.queue_deadline.is_some_and(|deadline| accepted.elapsed() > deadline) {
+        counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+        shed(service, &mut stream, "spent too long queued; retry shortly\n");
         return;
     }
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
@@ -287,13 +406,10 @@ fn handle_connection(
             match parse_request(&buf) {
                 Ok(Some((req, consumed))) => {
                     buf.drain(..consumed);
-                    let start = Instant::now();
-                    let routed = routes::handle(state, &req, queue.len());
-                    let keep_alive = req.keep_alive && !state.draining() && queue.unclaimed() == 0;
+                    let response = service.respond(&req, queue.len());
+                    let keep_alive = req.keep_alive && !service.draining() && queue.unclaimed() == 0;
                     let head_only = req.method == "HEAD";
-                    let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    state.metrics.observe(routed.endpoint, routed.response.status, routed.cache, micros);
-                    if routed.response.write_to(&mut stream, keep_alive, head_only).is_err() {
+                    if response.write_to(&mut stream, keep_alive, head_only).is_err() {
                         return;
                     }
                     if !keep_alive {
@@ -305,14 +421,14 @@ fn handle_connection(
                 Ok(None) => break, // need more bytes
                 Err(err) => {
                     let resp = Response::from_parse_error(&err);
-                    state.metrics.observe(Endpoint::Other, resp.status, CacheOutcome::Uncached, 0);
+                    service.answered(resp.status);
                     let _ = resp.write_to(&mut stream, false, false);
                     return;
                 }
             }
         }
 
-        if state.draining() && buf.is_empty() {
+        if service.draining() && buf.is_empty() {
             return; // no partial request in flight; drop the idle conn
         }
         if buf.len() > MAX_HEADER_BYTES + MAX_BODY {
@@ -328,7 +444,7 @@ fn handle_connection(
             Err(ref e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if last_activity.elapsed() < read_timeout {
+                if last_activity.elapsed() < limits.read_timeout {
                     // Idle between requests while a queued connection
                     // needs this worker: release. A fresh connection keeps
                     // its worker until its first request, since a pooled
@@ -339,7 +455,7 @@ fn handle_connection(
                     }
                     continue;
                 }
-                state.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+                counters.timeouts.fetch_add(1, Ordering::Relaxed);
                 if !buf.is_empty() {
                     // Mid-request stall: tell the peer before hanging up.
                     let resp = Response::text(408, "timed out waiting for the full request\n");

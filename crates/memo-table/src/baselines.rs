@@ -18,8 +18,7 @@ use crate::config::{Assoc, MemoConfig};
 use crate::key::set_index;
 use crate::op::{Op, OpKind, Value};
 use crate::stats::MemoStats;
-use crate::table::{MemoTable, Outcome, Probe};
-use crate::Memoizer;
+use crate::table::Outcome;
 
 /// How a reciprocal-cache access resolved.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -204,21 +203,6 @@ impl ReuseBuffer {
     }
 }
 
-/// Convenience: drive a value-keyed [`MemoTable`] with the same `(pc, op)`
-/// stream a [`ReuseBuffer`] consumes (the PC is simply ignored), so the
-/// two schemes can be compared call-for-call.
-pub fn memo_execute(table: &mut MemoTable, _pc: u64, op: Op) -> Outcome {
-    match table.probe(op) {
-        Probe::Hit(_) => Outcome::Hit,
-        Probe::Trivial(_) => Outcome::Trivial,
-        Probe::Filtered => Outcome::Filtered,
-        Probe::Miss => {
-            table.update(op, op.compute());
-            Outcome::Miss
-        }
-    }
-}
-
 /// The kinds a reuse buffer records in these experiments (multi-cycle
 /// operations only, matching what the MEMO-TABLE sees).
 pub const REUSE_KINDS: [OpKind; 4] =
@@ -241,6 +225,7 @@ pub fn reciprocal_discrepancy(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MemoTable, Memoizer};
 
     #[test]
     fn reciprocal_cache_hits_on_divisor_reuse() {
@@ -316,7 +301,7 @@ mod tests {
             if rb.execute(pc, op) == Outcome::Hit {
                 rb_hits += 1;
             }
-            if memo_execute(&mut memo, pc, op) == Outcome::Hit {
+            if memo.execute(op).outcome == Outcome::Hit {
                 memo_hits += 1;
             }
         }

@@ -28,9 +28,10 @@ use crate::stats::MemoStats;
 
 /// How a memo table protects its entries against soft errors.
 ///
-/// Threaded through every table flavour via
-/// [`MemoConfig`](crate::MemoConfig) (finite tables) or
-/// [`InfiniteMemoTable::with_protection`](crate::InfiniteMemoTable::with_protection).
+/// Threaded through the finite tables via
+/// [`MemoConfig`](crate::MemoConfig). The unbounded
+/// [`InfiniteMemoTable`](crate::InfiniteMemoTable) is a hit-ratio bound
+/// and stores its entries unprotected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Protection {
     /// No protection: corrupted entries are served as-is (silent data

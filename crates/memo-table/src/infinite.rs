@@ -9,21 +9,12 @@
 use std::collections::HashMap;
 
 use crate::config::{TagPolicy, TrivialPolicy};
-use crate::fault::{read_checked, FaultInjector, Protection, Repair};
-use crate::key::{encode_tag, encode_value, Key, KeyHashBuilder};
+use crate::key::{decode_value, encode_tag, encode_value, Key, KeyHashBuilder};
 use crate::op::{Op, Value};
 use crate::stats::MemoStats;
 use crate::table::Probe;
 use crate::trivial::trivial_result;
 use crate::Memoizer;
-
-#[derive(Debug, Clone, Copy)]
-struct Stored {
-    /// The payload as stored — may drift from `clean` under value faults.
-    value: u64,
-    /// The payload at insert time (the checker's reference).
-    clean: u64,
-}
 
 /// An unbounded memo table: the hit-ratio upper bound for a tag/trivial
 /// policy pair.
@@ -47,13 +38,11 @@ pub struct InfiniteMemoTable {
     tag: TagPolicy,
     trivial: TrivialPolicy,
     commutative: bool,
-    protection: Protection,
     // Keys are fixed-size, non-adversarial values: the multiply–xorshift
-    // KeyHasher replaces SipHash on this hot map (get/insert/remove only —
+    // KeyHasher replaces SipHash on this hot map (get/insert only —
     // nothing observes iteration order).
-    entries: HashMap<Key, Stored, KeyHashBuilder>,
+    entries: HashMap<Key, u64, KeyHashBuilder>,
     stats: MemoStats,
-    injector: Option<FaultInjector>,
 }
 
 impl InfiniteMemoTable {
@@ -71,39 +60,9 @@ impl InfiniteMemoTable {
             tag,
             trivial,
             commutative,
-            protection: Protection::None,
             entries: HashMap::default(),
             stats: MemoStats::new(),
-            injector: None,
         }
-    }
-
-    /// Set the soft-error protection policy (default: none).
-    #[must_use]
-    pub fn with_protection(mut self, protection: Protection) -> Self {
-        self.protection = protection;
-        self
-    }
-
-    /// The protection policy in force.
-    #[must_use]
-    pub fn protection(&self) -> Protection {
-        self.protection
-    }
-
-    /// Attach a soft-error process striking stored values on each probe.
-    ///
-    /// Only value flips apply: the unbounded reference table has neither
-    /// fixed slots (no stuck-at defect map) nor hardware tags to corrupt.
-    #[must_use]
-    pub fn with_fault_injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Attach or detach the soft-error process in place.
-    pub fn set_fault_injector(&mut self, injector: Option<FaultInjector>) {
-        self.injector = injector;
     }
 
     /// Number of distinct operand pairs retained.
@@ -126,27 +85,12 @@ impl InfiniteMemoTable {
 
     fn probe_order(&mut self, op: &Op) -> Option<Value> {
         let key = encode_tag(op, self.tag)?;
-        if !self.entries.contains_key(&key) {
-            return None;
-        }
-        // New soft errors strike the cell itself: persist them.
-        if let Some(injector) = &mut self.injector {
-            if let Some(mask) = injector.value_strike() {
-                let entry = self.entries.get_mut(&key).expect("checked above");
-                entry.value ^= mask;
-                self.stats.faults_injected += 1;
-            }
-        }
-        let Stored { value: read, clean } = *self.entries.get(&key).expect("checked above");
-
-        let (value, repair) =
-            read_checked(self.protection, op, read, clean, self.tag, &mut self.stats);
-        match repair {
-            Repair::Keep => {}
-            Repair::Rewrite => self.entries.get_mut(&key).expect("checked above").value = clean,
-            Repair::Invalidate => {
-                self.entries.remove(&key);
-            }
+        let &stored = self.entries.get(&key)?;
+        // A payload the exponent path cannot rebuild for these operands
+        // (mantissa mode only) falls back to the conventional unit.
+        let value = decode_value(op, stored, self.tag);
+        if value.is_none() {
+            self.stats.bypasses += 1;
         }
         value
     }
@@ -204,7 +148,7 @@ impl Memoizer for InfiniteMemoTable {
             self.stats.bypasses += 1;
             return;
         };
-        if self.entries.insert(key, Stored { value, clean: value }).is_none() {
+        if self.entries.insert(key, value).is_none() {
             self.stats.insertions += 1;
         }
     }
@@ -216,11 +160,6 @@ impl Memoizer for InfiniteMemoTable {
     fn reset(&mut self) {
         self.entries.clear();
         self.stats = MemoStats::new();
-        self.injector = self.injector.as_ref().map(|i| FaultInjector::new(i.config()));
-    }
-
-    fn hit_penalty(&self) -> u32 {
-        self.protection.hit_penalty()
     }
 }
 

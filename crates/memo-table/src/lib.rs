@@ -34,7 +34,6 @@
 //!   size × associativity grid in one pass over an operand stream
 //!   ([`StackSimulator`], [`SweepGrid`]), and a compact exact counter for
 //!   the infinite-table column beside it ([`InfiniteColumn`]);
-//! * a latency-aware memoized functional unit ([`MemoizedUnit`]);
 //! * soft-error fault injection and protection policies
 //!   ([`FaultInjector`], [`Protection`]) — parity, SEC-DED, or
 //!   recompute-and-verify guarding the stored entries.
@@ -74,7 +73,6 @@ mod stack;
 mod stats;
 mod table;
 mod trivial;
-mod unit;
 
 pub use batch::{BatchOutcome, OpBatch, MAX_BATCH_WIDTH};
 pub use column::InfiniteColumn;
@@ -91,7 +89,6 @@ pub use stack::{StackSimulator, SweepGrid, SweepGridError, SweepOutcome};
 pub use stats::MemoStats;
 pub use table::{Executed, MemoTable, Outcome, Probe};
 pub use trivial::{trivial_result, TrivialKind};
-pub use unit::{MemoizedUnit, UnitExecution};
 
 /// Common interface implemented by every memo-table flavour.
 ///
@@ -157,9 +154,9 @@ pub trait Memoizer {
     /// Extra cycles this table's protection policy adds to every served
     /// hit (see [`Protection::hit_penalty`]); 0 for unprotected tables.
     ///
-    /// Surfaced on the trait so latency models ([`MemoizedUnit`], the
-    /// cycle accountant in `memo-sim`) can charge protection without
-    /// knowing the concrete table type.
+    /// Surfaced on the trait so latency models (the cycle accountant in
+    /// `memo-sim`) can charge protection without knowing the concrete
+    /// table type.
     fn hit_penalty(&self) -> u32 {
         0
     }
