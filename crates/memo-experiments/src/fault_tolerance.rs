@@ -27,8 +27,8 @@ use memo_sim::{
     NullSink, OpTrace,
 };
 use memo_table::{
-    FaultConfig, FaultInjector, MemoConfig, MemoStats, MemoTable, Memoizer, OpKind, Protection,
-    MAX_BATCH_WIDTH,
+    FaultConfig, FaultInjector, FaultShadow, LaneSlot, MemoConfig, MemoStats, MemoTable, Memoizer,
+    OpKind, Protection, ShadowCounts, MAX_BATCH_WIDTH,
 };
 use memo_workloads::{mm, sci};
 
@@ -44,6 +44,9 @@ pub const MEMO_KINDS: [OpKind; 4] =
 /// above any physical rate, deliberately: the point is to separate the
 /// policies, not to model a particular altitude.
 pub const FAULT_RATES: [f64; 3] = [0.0, 0.01, 0.1];
+
+/// The fault seed of every [`sweep`] cell.
+const SWEEP_SEED: u64 = 0xFA17;
 
 /// Division-heavy applications used for the speedup-retention study.
 pub const SPEEDUP_SAMPLE: [&str; 3] = ["vspatial", "vgauss", "vgpwl"];
@@ -70,23 +73,26 @@ fn protected_config(protection: Protection) -> MemoConfig {
 #[must_use]
 pub fn faulty_bank(protection: Protection, rate: f64, seed: u64) -> MemoBank {
     MEMO_KINDS.iter().enumerate().fold(MemoBank::none(), |bank, (slot, &kind)| {
-        bank.with_table(kind, faulty_table(protection, rate, seed, slot))
+        let injector = FaultInjector::new(slot_faults(rate, seed, slot));
+        bank.with_table(
+            kind,
+            MemoTable::new(protected_config(protection)).with_fault_injector(injector),
+        )
     })
 }
 
-/// Slot `slot` of [`faulty_bank`]: a protected table whose injector fires
-/// at `rate` from the slot's share of `seed` (disabled at rate 0). The
-/// sweep builds its tables here too, so both draw the same streams.
-fn faulty_table(protection: Protection, rate: f64, seed: u64, slot: usize) -> MemoTable {
-    let fault_cfg = if rate > 0.0 {
+/// The fault process of slot `slot` of [`faulty_bank`]: single-bit value
+/// strikes at `rate` from the slot's share of `seed`, disabled at rate 0.
+/// The sweep's shadows draw from it too, so both see the same strikes.
+fn slot_faults(rate: f64, seed: u64, slot: usize) -> FaultConfig {
+    if rate > 0.0 {
         FaultConfig::single_bit(
             seed ^ 0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(slot as u64 + 1),
             rate,
         )
     } else {
         FaultConfig::disabled()
-    };
-    MemoTable::new(protected_config(protection)).with_fault_injector(FaultInjector::new(fault_cfg))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -177,26 +183,20 @@ fn pooled_cell(
     served: u64,
     mismatches: u64,
 ) -> FaultCell {
-    let mut hits = 0;
-    let mut lookups = 0;
-    let (mut inj, mut det, mut corr, mut silent) = (0, 0, 0, 0);
+    let mut total = MemoStats::new();
     for s in stats {
-        hits += s.table_hits;
-        lookups += s.table_lookups;
-        inj += s.faults_injected;
-        det += s.faults_detected;
-        corr += s.faults_corrected;
-        silent += s.faults_silent;
+        total += s;
     }
+    let ratio = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 };
     FaultCell {
         protection,
         fault_rate: rate,
-        sdc_rate: if served == 0 { 0.0 } else { mismatches as f64 / served as f64 },
-        hit_ratio: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
-        faults_injected: inj,
-        faults_detected: det,
-        faults_corrected: corr,
-        faults_silent: silent,
+        sdc_rate: ratio(mismatches, served),
+        hit_ratio: ratio(total.table_hits, total.table_lookups),
+        faults_injected: total.faults_injected,
+        faults_detected: total.faults_detected,
+        faults_corrected: total.faults_corrected,
+        faults_silent: total.faults_silent,
     }
 }
 
@@ -226,119 +226,64 @@ impl Recordings {
 /// Sweep fault rate × protection policy over the full MM corpus and the
 /// scientific suites, measuring end-to-end SDC and hit-ratio impact.
 ///
-/// Each nonzero cell runs the shared recordings against its own faulty
-/// tables — [`faulty_bank`]'s four, built by the same helper with the same
-/// seeds. At rate 0 the injector is disabled and every policy's read path
-/// is a no-op on clean entries — parity always passes, ECC never corrects,
-/// verification always matches — so the four clean cells are provably
-/// identical and share one computed cell.
+/// Each cell is what a [`DiffSink`] over the cell's [`faulty_bank`] counts
+/// (seed `0xFA17`), but only the clean cell's four tables are simulated.
+/// At rate 0 the injector is disabled and every policy's read path is a
+/// no-op on clean entries — parity always passes, ECC never corrects,
+/// verification always matches — so the four clean cells are one cell.
 ///
-/// The SEC-DED cells at the nonzero rates are derived, not simulated. The
-/// sweep's fault model is [`FaultConfig::single_bit`] on full-value tags:
-/// one-bit value strikes only, no tag strikes, no stuck-at cells.
+/// Every faulted cell is derived from the clean tables by a
+/// [`FaultShadow`] per table and nonzero rate. The sweep's tables (32
+/// entries, 4 ways, LRU, the paper's XOR hash, full-value tags,
+/// commutative probing) and its fault model ([`FaultConfig::single_bit`]:
+/// one-bit value strikes only) are exactly what the shadow's derivation
+/// covers: every policy then hits and fills the clean table's slots, and
+/// differs only in its payloads and counters.
 ///
-/// * A SEC-DED read therefore sees at most one flipped bit, because every
-///   earlier strike was corrected and rewritten on the read it landed on.
-///   It corrects that bit, serves the clean payload and never invalidates
-///   the entry, so at every operation the table has the clean table's
-///   valid bits, tags, LRU stamps and served bits. It draws one value
-///   strike per tag match, which is once per clean hit.
-/// * The unprotected table at the same rate never downgrades a hit (a
-///   full-value payload always decodes) and never touches a tag, so it
-///   follows the same trajectory and makes the same draws — from the same
-///   seed, since [`faulty_table`] seeds by slot and rate, not by policy.
+/// * No protection at rate r: the clean hits and lookups, with the
+///   shadow's strikes, silent reads and corrupted lanes.
+/// * Parity and verify-on-hit at r: hits = clean hits − strikes, every
+///   strike detected, and the corrupted lanes of the detecting payloads.
+/// * SEC-DED at r: the clean cell, with every strike corrected.
 ///
-/// So the SEC-DED cell at rate r is the clean cell's hits, lookups, served
-/// operations and mismatches, with `faults_injected` = `faults_corrected`
-/// = the unprotected cell's `faults_injected` at r, and nothing detected
-/// or silent. The clean cell itself is not derived from the unprotected
-/// tables: a commutative swapped hit can serve bits that differ from the
-/// truth when both `FpMul` operands are distinct NaNs, and only the clean
-/// table counts those.
-///
-/// The seven simulated cells — clean, then no protection, parity and
-/// verify at each nonzero rate — are 28 independent tables. They are
-/// dealt to the [`parallel::jobs`] workers by their kind's operation
-/// count, and each worker walks the recordings once, in the order the
-/// native loops ran them: per warp it computes the true results once,
-/// then every table of that kind on the worker executes the warp and
-/// counts the lanes it served corrupted. This is exactly what a
-/// [`DiffSink`] over the cell's bank counts: a bank's tables never
-/// interact, and each table still sees its kind's operations in recorded
-/// order.
+/// The four clean tables are dealt to the [`parallel::jobs`] workers by
+/// their kind's operation count. Each worker walks its kinds' warps once,
+/// in the order the native loops ran them, computes each warp's true
+/// results once, runs the warp through the clean table, and feeds the
+/// table's lane records to one shadow per nonzero rate. A bank's tables never
+/// interact, so each kind's table seeing its own operations in recorded
+/// order is what the bank sees.
 #[must_use]
 pub fn sweep(cfg: ExpConfig) -> Vec<FaultCell> {
-    let simulated = |protection| protection != Protection::EccSecDed;
-    let mut grid: Vec<(Protection, f64)> = vec![(Protection::None, 0.0)];
-    grid.extend(
-        Protection::ALL
-            .iter()
-            .filter(|&&protection| simulated(protection))
-            .flat_map(|&protection| FAULT_RATES.iter().map(move |&rate| (protection, rate)))
-            .filter(|&(_, rate)| rate > 0.0),
-    );
-
     let recordings = Recordings::fetch(cfg);
     let walk: Vec<&OpTrace> = recordings.walk().collect();
-    let mut ops = [0usize; 4];
-    for kind in MEMO_KINDS {
-        ops[kind as usize] = walk.iter().map(|t| t.count(kind)).sum();
-    }
-
-    let tables = grid.iter().enumerate().flat_map(|(cell, &(protection, rate))| {
-        MEMO_KINDS.iter().enumerate().map(move |(slot, &kind)| SweepTable {
-            cell,
-            kind,
-            table: faulty_table(protection, rate, 0xFA17, slot),
-            served: 0,
-            mismatches: 0,
-        })
-    });
-    let workers = deal(tables.collect(), parallel::jobs(), |t| ops[t.kind as usize]);
-    let done: Vec<SweepTable> = parallel::par_map(workers, |mut tables| {
-        walk_once(&walk, &mut tables);
-        tables
+    let rates: Vec<f64> = FAULT_RATES.into_iter().filter(|&rate| rate > 0.0).collect();
+    let ops = |kind| walk.iter().map(|t| t.count(kind)).sum::<usize>();
+    let units: Vec<(usize, OpKind)> = MEMO_KINDS.into_iter().enumerate().collect();
+    let workers = deal(units, parallel::jobs(), |&(_, kind)| ops(kind));
+    let kinds: Vec<KindSweep> = parallel::par_map(workers, |units| {
+        units
+            .into_iter()
+            .map(|(slot, kind)| KindSweep::run(&walk, slot, kind, &rates))
+            .collect::<Vec<_>>()
     })
     .into_iter()
     .flatten()
     .collect();
 
-    let computed: Vec<FaultCell> = grid
-        .iter()
-        .enumerate()
-        .map(|(cell, &(protection, rate))| {
-            let tables = || done.iter().filter(move |t| t.cell == cell);
-            pooled_cell(
-                protection,
-                rate,
-                tables().map(|t| t.table.stats()),
-                tables().map(|t| t.served).sum(),
-                tables().map(|t| t.mismatches).sum(),
-            )
-        })
-        .collect();
-    let clean = computed[0];
-    let cell = |protection, rate| {
-        let at = grid.iter().position(|&point| point == (protection, rate));
-        computed[at.expect("every simulated cell is computed")]
-    };
+    let served = kinds.iter().map(|k| k.served).sum();
+    let corrupted = kinds.iter().map(|k| k.corrupted).sum();
+    let clean =
+        pooled_cell(Protection::None, 0.0, kinds.iter().map(|k| k.clean), served, corrupted);
     let mut out = Vec::with_capacity(Protection::ALL.len() * FAULT_RATES.len());
     for &protection in &Protection::ALL {
         for &rate in &FAULT_RATES {
-            out.push(if rate == 0.0 {
-                FaultCell { protection, ..clean }
-            } else if simulated(protection) {
-                cell(protection, rate)
-            } else {
-                let injected = cell(Protection::None, rate).faults_injected;
-                FaultCell {
-                    protection,
-                    fault_rate: rate,
-                    faults_injected: injected,
-                    faults_corrected: injected,
-                    faults_detected: 0,
-                    faults_silent: 0,
-                    ..clean
+            out.push(match rates.iter().position(|&r| r == rate) {
+                None => FaultCell { protection, ..clean },
+                Some(r) => {
+                    let stats = kinds.iter().map(|k| k.shadows[r].stats(protection, k.clean));
+                    let corrupted = kinds.iter().map(|k| k.shadows[r].corrupted(protection));
+                    pooled_cell(protection, rate, stats, served, corrupted.sum())
                 }
             });
         }
@@ -346,16 +291,68 @@ pub fn sweep(cfg: ExpConfig) -> Vec<FaultCell> {
     out
 }
 
-/// One table of the sweep and what it has served so far.
-struct SweepTable {
-    /// Index of the cell in the computed grid.
-    cell: usize,
-    kind: OpKind,
-    table: MemoTable,
+/// One kind's clean table and its shadows, after the walk.
+struct KindSweep {
+    /// The clean table's statistics.
+    clean: MemoStats,
     /// Operations the table executed.
     served: u64,
-    /// Operations whose served bits differed from the true result.
-    mismatches: u64,
+    /// Operations whose clean served bits differed from the true result.
+    corrupted: u64,
+    /// One shadow's counts per nonzero rate of [`FAULT_RATES`], in order.
+    shadows: Vec<ShadowCounts>,
+}
+
+impl KindSweep {
+    /// Walk `kind`'s warps of every recording through the clean table of
+    /// [`faulty_bank`]'s slot `slot`, and follow it with one shadow per
+    /// rate in `rates`.
+    fn run(walk: &[&OpTrace], slot: usize, kind: OpKind, rates: &[f64]) -> Self {
+        let config = protected_config(Protection::None);
+        let mut clean = MemoTable::new(config);
+        let mut shadows: Vec<FaultShadow> = rates
+            .iter()
+            .map(|&rate| {
+                FaultShadow::new(&config, slot_faults(rate, SWEEP_SEED, slot))
+                    .expect("the sweep's tables and fault model are what a shadow covers")
+            })
+            .collect();
+        let (mut served, mut corrupted) = (0, 0);
+        let mut truth = [0u64; MAX_BATCH_WIDTH];
+        let mut clean_bits = [0u64; MAX_BATCH_WIDTH];
+        let mut slots = [LaneSlot::NoLookup; MAX_BATCH_WIDTH];
+        let mut unprotected = [0u64; MAX_BATCH_WIDTH];
+        let mut detecting = [0u64; MAX_BATCH_WIDTH];
+        for trace in walk {
+            trace.for_each_kind_batch(kind, MAX_BATCH_WIDTH, |warp| {
+                let n = warp.len();
+                let (truth, clean_bits, slots) =
+                    (&mut truth[..n], &mut clean_bits[..n], &mut slots[..n]);
+                for (i, bits) in truth.iter_mut().enumerate() {
+                    *bits = warp.op(i).compute().to_bits();
+                }
+                clean.execute_batch_with_truth(warp, truth, clean_bits, slots);
+                served += n as u64;
+                corrupted +=
+                    clean_bits.iter().zip(&*truth).filter(|(got, want)| got != want).count() as u64;
+                for shadow in &mut shadows {
+                    shadow.follow(
+                        slots,
+                        truth,
+                        clean_bits,
+                        &mut unprotected[..n],
+                        &mut detecting[..n],
+                    );
+                }
+            });
+        }
+        KindSweep {
+            clean: clean.stats(),
+            served,
+            corrupted,
+            shadows: shadows.iter().map(FaultShadow::counts).collect(),
+        }
+    }
 }
 
 /// Deal `items` to at most `workers` groups, heaviest first, each to the
@@ -370,36 +367,6 @@ fn deal<T>(mut items: Vec<T>, workers: usize, weight: impl Fn(&T) -> usize) -> V
         group.push(item);
     }
     groups.into_iter().map(|(_, group)| group).filter(|group| !group.is_empty()).collect()
-}
-
-/// Walk the recordings once for one worker's tables. Each warp's true
-/// results are computed once; every table of the warp's kind then runs
-/// the warp and counts the lanes whose served bits differ from the truth.
-fn walk_once(walk: &[&OpTrace], tables: &mut [SweepTable]) {
-    let mut by_kind: [Vec<&mut SweepTable>; 4] = Default::default();
-    for table in tables.iter_mut() {
-        by_kind[table.kind as usize].push(table);
-    }
-    let mut truth = [0u64; MAX_BATCH_WIDTH];
-    let mut served = [0u64; MAX_BATCH_WIDTH];
-    for trace in walk {
-        trace.for_each_warp(MAX_BATCH_WIDTH, |warp| {
-            let tables = &mut by_kind[warp.kind() as usize];
-            if tables.is_empty() {
-                return;
-            }
-            let (truth, served) = (&mut truth[..warp.len()], &mut served[..warp.len()]);
-            for (i, bits) in truth.iter_mut().enumerate() {
-                *bits = warp.op(i).compute().to_bits();
-            }
-            for entry in tables.iter_mut() {
-                entry.table.execute_batch_with_truth(warp, truth, served);
-                entry.served += warp.len() as u64;
-                let corrupted = served.iter().zip(&*truth).filter(|(got, want)| got != want);
-                entry.mismatches += corrupted.count() as u64;
-            }
-        });
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 //! `runner::ARTIFACTS` is the one list of the reproduction's artifacts:
-//! every row has a committed render under `docs/outputs` (CI diffs a
-//! fresh render of each against it), every committed render has a row,
-//! and the names and words the command line and the benchmark key on are
-//! unique.
+//! every row has a committed render under `docs/outputs` and a paper-scale
+//! one under `docs/outputs/paper` (CI diffs fresh renders against both),
+//! every committed render has a row, and the names and words the command
+//! line and the benchmark key on are unique.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -11,17 +11,19 @@ use memo_experiments::runner::{artifact, experiments, ARTIFACTS};
 
 #[test]
 fn every_row_has_a_committed_output_and_every_output_a_row() {
-    let outputs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/outputs");
-    let mut stems: HashSet<String> = std::fs::read_dir(&outputs)
-        .expect("docs/outputs exists")
-        .map(|entry| entry.expect("readable directory entry").path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == "txt"))
-        .map(|path| path.file_stem().expect("a file name").to_string_lossy().into_owned())
-        .collect();
-    for row in &ARTIFACTS {
-        assert!(stems.remove(row.cli), "no docs/outputs/{}.txt for {:?}", row.cli, row.name);
+    for dir in ["docs/outputs", "docs/outputs/paper"] {
+        let outputs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(dir);
+        let mut stems: HashSet<String> = std::fs::read_dir(&outputs)
+            .unwrap_or_else(|e| panic!("{dir}: {e}"))
+            .map(|entry| entry.expect("readable directory entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "txt"))
+            .map(|path| path.file_stem().expect("a file name").to_string_lossy().into_owned())
+            .collect();
+        for row in &ARTIFACTS {
+            assert!(stems.remove(row.cli), "no {dir}/{}.txt for {:?}", row.cli, row.name);
+        }
+        assert!(stems.is_empty(), "committed outputs in {dir} without a row: {stems:?}");
     }
-    assert!(stems.is_empty(), "committed outputs without a row: {stems:?}");
 }
 
 #[test]

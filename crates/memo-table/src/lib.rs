@@ -36,7 +36,9 @@
 //!   the infinite-table column beside it ([`InfiniteColumn`]);
 //! * soft-error fault injection and protection policies
 //!   ([`FaultInjector`], [`Protection`]) — parity, SEC-DED, or
-//!   recompute-and-verify guarding the stored entries.
+//!   recompute-and-verify guarding the stored entries — and a
+//!   [`FaultShadow`] that derives every policy's fault-injected table from
+//!   one clean table's per-lane slot records.
 //!
 //! ## Quick start
 //!
@@ -69,6 +71,7 @@ mod key;
 mod op;
 mod ported;
 pub mod rng;
+mod shadow;
 mod stack;
 mod stats;
 mod table;
@@ -85,9 +88,10 @@ pub use infinite::InfiniteMemoTable;
 pub use key::{fp_parts, is_normal_or_zero, Key, KeyHashBuilder, KeyHasher};
 pub use op::{Op, OpKind, ParseOpKindError, Value};
 pub use ported::{PortStats, SharedMemoTable};
+pub use shadow::{FaultShadow, ShadowCounts, ShadowError};
 pub use stack::{StackSimulator, SweepGrid, SweepGridError, SweepOutcome};
 pub use stats::MemoStats;
-pub use table::{Executed, MemoTable, Outcome, Probe};
+pub use table::{Executed, LaneSlot, MemoTable, Outcome, Probe};
 pub use trivial::{trivial_result, TrivialKind};
 
 /// Common interface implemented by every memo-table flavour.

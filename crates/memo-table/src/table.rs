@@ -50,6 +50,20 @@ impl Outcome {
     }
 }
 
+/// Where one lane of a batch went in a full-value table, as
+/// [`MemoTable::execute_batch_with_truth`] records it. A slot is an index
+/// `set * ways + way` into the table's entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneSlot {
+    /// The lane made no lookup: a trivial operation under
+    /// [`TrivialPolicy::Exclude`] or [`TrivialPolicy::Integrate`].
+    NoLookup,
+    /// A tag match on this slot, in either operand order, served the lane.
+    Hit(usize),
+    /// The lane missed, and its result was inserted into this slot.
+    Filled(usize),
+}
+
 /// A fully executed operation: its (bit-exact) value and how it was served.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Executed {
@@ -220,7 +234,8 @@ impl MemoTable {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    fn insert(&mut self, set: usize, key: Key, value: u64) {
+    /// Store `key` in `set` and return the slot it took.
+    fn insert(&mut self, set: usize, key: Key, value: u64) -> usize {
         let base = set * self.ways;
         let end = base + self.ways;
         let stamp = self.tick();
@@ -249,6 +264,7 @@ impl MemoTable {
         self.last_use[slot] = stamp;
         self.inserted[slot] = stamp;
         self.stats.insertions += 1;
+        slot
     }
 
     /// The protection policy scrubs the entries of one probed set whose
@@ -430,35 +446,50 @@ impl MemoTable {
     /// [`Memoizer::update`] does. Statistics, table state and the returned
     /// tally are those of [`Memoizer::execute_batch`].
     ///
+    /// `slots` is either empty or one record per lane. A full-value table
+    /// then records where each lane went: [`LaneSlot::Hit`] with the slot
+    /// that served it, [`LaneSlot::Filled`] with the slot its result was
+    /// inserted into, or [`LaneSlot::NoLookup`]. A hit the protection
+    /// policy downgrades is not recorded: the lane records where it went
+    /// next.
+    ///
     /// # Panics
     ///
-    /// Panics if `truth` or `served` does not have one element per lane.
+    /// Panics if `truth` or `served` does not have one element per lane,
+    /// or if `slots` is neither empty nor one per lane. A mantissa-only
+    /// table runs [`Memoizer::execute`] per lane, which reports no slot,
+    /// so it panics when handed a non-empty `slots`.
     pub fn execute_batch_with_truth(
         &mut self,
         batch: &OpBatch<'_>,
         truth: &[u64],
         served: &mut [u64],
+        slots: &mut [LaneSlot],
     ) -> BatchOutcome {
         assert_eq!(truth.len(), batch.len(), "one true result per lane");
         assert_eq!(served.len(), batch.len(), "one served slot per lane");
-        self.run_batch(batch, Some((truth, served)))
+        if !slots.is_empty() {
+            assert_eq!(slots.len(), batch.len(), "one lane record per lane");
+            assert_eq!(self.cfg.tag(), TagPolicy::FullValue, "only full-value tables record slots");
+        }
+        self.run_batch(batch, Some((truth, served, slots)))
     }
 
     /// Route a batch: every full-value table takes the lane kernel, with
     /// the fault hooks compiled in only when a fault source exists;
-    /// mantissa-only tables run [`Memoizer::execute`] per lane.
-    fn run_batch(
-        &mut self,
-        batch: &OpBatch<'_>,
-        truth_served: Option<(&[u64], &mut [u64])>,
-    ) -> BatchOutcome {
+    /// mantissa-only tables run [`Memoizer::execute`] per lane. That
+    /// scalar path costs more per operation than the lane kernel: Table
+    /// 10's mantissa column (25.3 M fmul and fdiv operations at default
+    /// scale) measured 68–77 ns/op through it against 45–51 ns/op through
+    /// the full-value lane kernel. A mantissa lane path is ROADMAP item 6.
+    fn run_batch(&mut self, batch: &OpBatch<'_>, lanes: Option<LaneOut<'_>>) -> BatchOutcome {
         if self.cfg.tag() != TagPolicy::FullValue {
-            return execute_each(self, batch, truth_served.map(|(_, served)| served));
+            return execute_each(self, batch, lanes.map(|(_, served, _)| served));
         }
-        match (self.fault_source(), truth_served.is_some()) {
-            (true, true) => self.execute_batch_lanes_full::<true, true>(batch, truth_served),
+        match (self.fault_source(), lanes.is_some()) {
+            (true, true) => self.execute_batch_lanes_full::<true, true>(batch, lanes),
             (true, false) => self.execute_batch_lanes_full::<true, false>(batch, None),
-            (false, true) => self.execute_batch_lanes_full::<false, true>(batch, truth_served),
+            (false, true) => self.execute_batch_lanes_full::<false, true>(batch, lanes),
             (false, false) => self.execute_batch_lanes_full::<false, false>(batch, None),
         }
     }
@@ -468,8 +499,8 @@ impl MemoTable {
     /// tag-strike draw run first and a matched entry is read through
     /// [`read_protected`](Self::read_protected) (with the operation `op`
     /// builds), each under the same gate as the scalar probe. Returns the
-    /// bits served (only computed when `SERVE`; 0 otherwise), or `None`
-    /// for a miss or a downgraded hit.
+    /// matched slot and the bits it served (only computed when `SERVE`; 0
+    /// otherwise), or `None` for a miss or a downgraded hit.
     #[inline(always)]
     fn probe_lane<const HOOKED: bool, const SERVE: bool>(
         &mut self,
@@ -478,7 +509,7 @@ impl MemoTable {
         clock: &mut u64,
         hooks: LaneHooks,
         op: impl FnOnce() -> Op,
-    ) -> Option<u64> {
+    ) -> Option<(usize, u64)> {
         if HOOKED {
             if self.tag_drift {
                 self.scrub_tags(base);
@@ -494,13 +525,14 @@ impl MemoTable {
         *clock += 1;
         let slot = self.find(base, key)?;
         self.last_use[slot] = *clock;
-        if HOOKED && hooks.read {
-            self.read_protected(&op(), slot).map(Value::to_bits)
+        let bits = if HOOKED && hooks.read {
+            self.read_protected(&op(), slot)?.to_bits()
         } else if SERVE {
-            Some(self.value[slot])
+            self.value[slot]
         } else {
-            Some(0)
-        }
+            0
+        };
+        Some((slot, bits))
     }
 
     /// Lane-parallel batch execution for **full-value** tables — every
@@ -526,17 +558,28 @@ impl MemoTable {
     /// which is what the protected read returns at zero errors under every
     /// policy — so a fault-free table runs `HOOKED = false`.
     ///
-    /// `SERVE` is set exactly when `truth_served` is given: a miss then
-    /// inserts the caller's true result instead of recomputing it, and
-    /// each lane's served bits are written out (see
+    /// `SERVE` is set exactly when `lanes` is given: a miss then inserts
+    /// the caller's true result instead of recomputing it, and each lane's
+    /// served bits and slot record are written out (see
     /// [`execute_batch_with_truth`](Self::execute_batch_with_truth)).
+    ///
+    /// Each instantiation stays a function of its own. Inlined together
+    /// into [`run_batch`](Self::run_batch), the fault study's
+    /// instantiations changed the code generated for the plain one, which
+    /// every paper-default replay runs. Replaying the 18 MM apps into
+    /// `MemoBank::paper_default` took 0.365–0.366 s inlined and 0.356–0.357 s
+    /// out of line, against 0.355–0.360 s before the slot records existed
+    /// (2-vCPU x86-64; medians of 9 rounds, 4 alternations; both builds in
+    /// paths of one length, since code placement alone moves this loop by
+    /// a few percent).
+    #[inline(never)]
     fn execute_batch_lanes_full<const HOOKED: bool, const SERVE: bool>(
         &mut self,
         batch: &OpBatch<'_>,
-        mut truth_served: Option<(&[u64], &mut [u64])>,
+        mut lanes: Option<LaneOut<'_>>,
     ) -> BatchOutcome {
         debug_assert_eq!(self.cfg.tag(), TagPolicy::FullValue);
-        debug_assert_eq!(SERVE, truth_served.is_some());
+        debug_assert_eq!(SERVE, lanes.is_some());
         let kind = batch.kind();
         let scheme = self.cfg.hash();
         let (sets, ways) = (self.sets, self.ways);
@@ -570,16 +613,16 @@ impl MemoTable {
             for i in 0..w {
                 let lane = first + i;
                 ops_seen += 1;
-                // The bits this lane serves; `None` for a trivial lane,
-                // which serves the true result.
-                let served = 'lane: {
+                // Where this lane went and the bits it served; a lane with
+                // no lookup serves the true result.
+                let (record, bits) = 'lane: {
                     if trivial[i] {
                         trivial_seen += 1;
                         match trivial_policy {
-                            TrivialPolicy::Exclude => break 'lane None,
+                            TrivialPolicy::Exclude => break 'lane (LaneSlot::NoLookup, 0),
                             TrivialPolicy::Integrate => {
                                 out.trivials += 1;
-                                break 'lane None;
+                                break 'lane (LaneSlot::NoLookup, 0);
                             }
                             TrivialPolicy::Memoize => {}
                         }
@@ -592,12 +635,12 @@ impl MemoTable {
 
                     let key = Key { kind, tag };
                     let op = || batch.op(lane);
-                    if let Some(bits) =
+                    if let Some((slot, bits)) =
                         self.probe_lane::<HOOKED, SERVE>(set * ways, key, &mut clock, hooks, op)
                     {
                         hits += 1;
                         out.hits += 1;
-                        break 'lane Some(bits);
+                        break 'lane (LaneSlot::Hit(slot), bits);
                     }
 
                     if commutative {
@@ -605,7 +648,7 @@ impl MemoTable {
                         let sset = if swap_hashes { swapped_set_idx[i] as usize } else { set };
                         let key = Key { kind, tag: stag };
                         let op = || batch.op(lane).swapped().expect("commutative kinds swap");
-                        if let Some(bits) = self.probe_lane::<HOOKED, SERVE>(
+                        if let Some((slot, bits)) = self.probe_lane::<HOOKED, SERVE>(
                             sset * ways,
                             key,
                             &mut clock,
@@ -615,14 +658,14 @@ impl MemoTable {
                             hits += 1;
                             comm_hits += 1;
                             out.hits += 1;
-                            break 'lane Some(bits);
+                            break 'lane (LaneSlot::Hit(slot), bits);
                         }
                     }
 
                     // Miss: insert the true result, syncing the register
                     // clock with the shared helper's tick.
-                    let result = match &truth_served {
-                        Some((truth, _)) if SERVE => {
+                    let result = match &lanes {
+                        Some((truth, ..)) if SERVE => {
                             debug_assert_eq!(
                                 truth[lane],
                                 compute_bits(kind, ai, bi),
@@ -633,13 +676,17 @@ impl MemoTable {
                         _ => compute_bits(kind, ai, bi),
                     };
                     self.clock = clock;
-                    self.insert(set, key, result);
+                    let slot = self.insert(set, key, result);
                     clock = self.clock;
-                    Some(result)
+                    (LaneSlot::Filled(slot), result)
                 };
                 if SERVE {
-                    if let Some((truth, out_bits)) = truth_served.as_mut() {
-                        out_bits[lane] = served.unwrap_or(truth[lane]);
+                    if let Some((truth, served, slots)) = lanes.as_mut() {
+                        served[lane] =
+                            if record == LaneSlot::NoLookup { truth[lane] } else { bits };
+                        if let Some(slot) = slots.get_mut(lane) {
+                            *slot = record;
+                        }
                     }
                 }
             }
@@ -666,6 +713,11 @@ impl MemoTable {
         }
     }
 }
+
+/// The per-lane inputs and outputs of
+/// [`MemoTable::execute_batch_with_truth`]: true results, served bits and
+/// slot records (empty when not recorded).
+type LaneOut<'a> = (&'a [u64], &'a mut [u64], &'a mut [LaneSlot]);
 
 /// Which fault hooks the lane kernel runs on a fault-injected table.
 #[derive(Debug, Clone, Copy, Default)]
@@ -703,7 +755,9 @@ impl Memoizer for MemoTable {
             Ok((key, set)) => {
                 let value = op.compute();
                 match encode_value(&op, value, self.cfg.tag()) {
-                    Some(stored) => self.insert(set, key, stored),
+                    Some(stored) => {
+                        self.insert(set, key, stored);
+                    }
                     None => self.stats.bypasses += 1,
                 }
                 Executed { value, outcome: Outcome::Miss }
@@ -715,8 +769,9 @@ impl Memoizer for MemoTable {
     /// every table of the fault study — takes the lane kernel, with the
     /// fault and protection hooks compiled in only when the table has a
     /// fault source. Mantissa-only tables run [`Memoizer::execute`] per
-    /// lane: they are too rare on the experiment workloads for a second
-    /// lane path to pay.
+    /// lane. That costs Table 10's mantissa column, 25.3 M fmul and fdiv
+    /// operations at default scale, 68–77 ns/op against 45–51 ns/op in the
+    /// lane kernel; a mantissa lane path is ROADMAP item 6.
     fn execute_batch(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
         self.run_batch(batch, None)
     }
@@ -1170,6 +1225,103 @@ mod tests {
         a.reset();
         b.reset();
         assert_eq!(run(&mut a), run(&mut b));
+    }
+
+    /// A seeded multiplication stream over a small operand pool: reuse in
+    /// both operand orders, trivial operands, and two NaN payloads.
+    fn lane_stream(seed: u64, len: usize) -> (Vec<u64>, Vec<u64>) {
+        use crate::rng::SplitMix64;
+        const POOL: [f64; 10] = [0.0, 1.0, 2.5, -3.0, 0.75, 1.5e-300, 7.0, -0.5, 12.0, 1e300];
+        let nans = [0x7FF8_0000_0000_0001u64, 0xFFF8_0000_0000_0002];
+        let mut rng = SplitMix64::new(seed);
+        let pick = |rng: &mut SplitMix64| match rng.next_below(12) {
+            10 => nans[0],
+            11 => nans[1],
+            i => POOL[i as usize].to_bits(),
+        };
+        (0..len).map(|_| (pick(&mut rng), pick(&mut rng))).unzip()
+    }
+
+    /// Run `a`/`b` through `table` at batch width `width`, returning each
+    /// lane's record. At width 1 every lane's record is also checked
+    /// against the table's state: a hit names a valid slot holding the
+    /// lane's key in either operand order, a fill names the slot `insert`
+    /// chose (the set's first invalid way, else its LRU way), and a
+    /// trivial lane names none.
+    fn lane_records(table: &mut MemoTable, a: &[u64], b: &[u64], width: usize) -> Vec<LaneSlot> {
+        let mut records = vec![LaneSlot::NoLookup; a.len()];
+        for start in (0..a.len()).step_by(width) {
+            let end = (start + width).min(a.len());
+            let batch = OpBatch::new(OpKind::FpMul, &a[start..end], &b[start..end]);
+            let truth: Vec<u64> =
+                (0..batch.len()).map(|i| batch.op(i).compute().to_bits()).collect();
+            let mut served = vec![0; batch.len()];
+            // The slot an insert would take now, for a width-1 batch.
+            let op = batch.op(0);
+            let base = set_index(&op, table.sets, table.cfg.hash()) * table.ways;
+            let ways = base..base + table.ways;
+            let victim = ways.clone().find(|&s| !table.valid[s]).unwrap_or_else(|| {
+                ways.clone().min_by_key(|&s| table.last_use[s]).expect("ways >= 1")
+            });
+            table.execute_batch_with_truth(&batch, &truth, &mut served, &mut records[start..end]);
+            if width > 1 {
+                continue;
+            }
+            let keys = [(a[start], b[start]), (b[start], a[start])]
+                .map(|(x, y)| ((x as u128) << 64) | y as u128);
+            match records[start] {
+                LaneSlot::NoLookup => assert!(trivial_result(&op).is_some(), "lane {start}"),
+                LaneSlot::Hit(s) => {
+                    assert!(table.valid[s] && keys.contains(&table.tag[s]), "lane {start}");
+                }
+                LaneSlot::Filled(s) => {
+                    assert_eq!(s, victim, "lane {start}: the fill took another slot");
+                    assert_eq!(table.tag[s], keys[0], "lane {start}");
+                }
+            }
+        }
+        records
+    }
+
+    #[test]
+    fn lane_records_name_the_slot_each_lane_used() {
+        use crate::fault::{FaultConfig, FaultInjector, Protection};
+        let cfg = MemoConfig::builder(8).assoc(Assoc::Ways(2)).build().unwrap();
+        let faults = FaultConfig::single_bit(0x51_07, 0.3);
+        for seed in 0..8 {
+            let (a, b) = lane_stream(seed, 600);
+            let clean = || MemoTable::new(cfg);
+            let struck = || MemoTable::new(cfg).with_fault_injector(FaultInjector::new(faults));
+            let want = lane_records(&mut clean(), &a, &b, 1);
+            assert_eq!(lane_records(&mut struck(), &a, &b, 1), want, "seed {seed}");
+            for width in [7, 64] {
+                assert_eq!(lane_records(&mut clean(), &a, &b, width), want, "seed {seed}");
+                assert_eq!(lane_records(&mut struck(), &a, &b, width), want, "seed {seed}");
+            }
+            let count = |f: fn(&LaneSlot) -> bool| want.iter().filter(|r| f(r)).count();
+            assert!(count(|r| matches!(r, LaneSlot::Hit(_))) > 0, "seed {seed}: no hit");
+            assert!(count(|r| matches!(r, LaneSlot::Filled(_))) > 0, "seed {seed}: no fill");
+            assert!(count(|r| *r == LaneSlot::NoLookup) > 0, "seed {seed}: no trivial");
+
+            // Parity refills a struck hit into the slot it hit: its record
+            // is the clean one with each detection a fill of the same slot.
+            let parity = MemoConfig::builder(8)
+                .assoc(Assoc::Ways(2))
+                .protection(Protection::ParityDetect)
+                .build()
+                .unwrap();
+            let mut parity = MemoTable::new(parity).with_fault_injector(FaultInjector::new(faults));
+            let got = lane_records(&mut parity, &a, &b, 64);
+            let mut refills = 0;
+            for (lane, (g, w)) in got.iter().zip(&want).enumerate() {
+                match (*g, *w) {
+                    (LaneSlot::Filled(p), LaneSlot::Hit(c)) if p == c => refills += 1,
+                    _ => assert_eq!(g, w, "seed {seed}, lane {lane}"),
+                }
+            }
+            assert_eq!(refills, parity.stats().faults_detected, "seed {seed}");
+            assert!(refills > 0, "seed {seed}: no strike landed");
+        }
     }
 
     #[test]

@@ -265,6 +265,7 @@ fn truth_served(table: &mut MemoTable, batch: &OpBatch<'_>) -> (BatchOutcome, Ve
             &batch.slice(start, w),
             &truth[start..start + w],
             &mut served[start..start + w],
+            &mut [],
         ));
     });
     (out, served)

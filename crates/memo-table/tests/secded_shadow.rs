@@ -58,9 +58,9 @@ fn shadow(kind: OpKind, seed: u64, faults: FaultConfig) -> Result<u64, String> {
         let truth: Vec<u64> = (0..w).map(|i| batch.op(i).compute().to_bits()).collect();
         let (mut clean_served, mut none_served, mut ecc_served) =
             (vec![0; w], vec![0; w], vec![0; w]);
-        clean.execute_batch_with_truth(&batch, &truth, &mut clean_served);
-        none.execute_batch_with_truth(&batch, &truth, &mut none_served);
-        ecc.execute_batch_with_truth(&batch, &truth, &mut ecc_served);
+        clean.execute_batch_with_truth(&batch, &truth, &mut clean_served, &mut []);
+        none.execute_batch_with_truth(&batch, &truth, &mut none_served, &mut []);
+        ecc.execute_batch_with_truth(&batch, &truth, &mut ecc_served, &mut []);
         start += w;
 
         let (c, n, e) = (clean.stats(), none.stats(), ecc.stats());
