@@ -136,10 +136,11 @@ pub trait Memoizer {
     ///
     /// Must be observably identical to calling [`execute`] on every lane in
     /// order — same statistics, same table state afterwards — for any tile
-    /// width, including partial tails. The default does exactly that;
-    /// [`MemoTable`] overrides it with a lane-parallel front end (batched
-    /// hashing and trivial masks) feeding the same scalar conflict
-    /// resolution.
+    /// width, including partial tails. The default does exactly that.
+    /// [`MemoTable`] overrides it: a full-value table with no enabled
+    /// fault injector runs a lane-parallel front end (batched hashing and
+    /// trivial masks) feeding the same scalar conflict resolution, and
+    /// every other table runs the default.
     ///
     /// [`execute`]: Memoizer::execute
     fn execute_batch(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {

@@ -114,12 +114,6 @@ impl SharedMemoTable {
         self.inner.borrow().table.hit_ratio()
     }
 
-    /// Attach or detach a soft-error process on the shared table (seen by
-    /// every sharer — the underlying SRAM is one physical array).
-    pub fn set_fault_injector(&mut self, injector: Option<crate::FaultInjector>) {
-        self.inner.borrow_mut().table.set_fault_injector(injector);
-    }
-
     fn charge_port(s: &mut Shared) {
         s.port_stats.accesses += 1;
         s.used_this_cycle += 1;

@@ -123,10 +123,6 @@ pub struct MemoTable {
     /// one does, every stored tag equals its clean copy and the tag scrub
     /// has nothing to find.
     tag_drift: bool,
-    /// A value strike has landed since construction or the last reset.
-    /// Until one does, every valid slot's payload equals its clean copy,
-    /// so a read with no fault process attached serves the stored payload.
-    value_drift: bool,
 }
 
 impl MemoTable {
@@ -151,26 +147,17 @@ impl MemoTable {
             rng: 0x9E37_79B9_7F4A_7C15,
             injector: None,
             tag_drift: false,
-            value_drift: false,
         }
     }
 
     /// Attach a soft-error process; the table consults it on every probe.
+    /// Attach it when the table is built: a batch picks its path from the
+    /// attached injector alone, so the strikes of an enabled injector that
+    /// a disabled one replaced would reach the lane kernel unchecked.
     #[must_use]
     pub fn with_fault_injector(mut self, injector: FaultInjector) -> Self {
         self.injector = Some(injector);
         self
-    }
-
-    /// Attach or detach the soft-error process in place.
-    pub fn set_fault_injector(&mut self, injector: Option<FaultInjector>) {
-        self.injector = injector;
-    }
-
-    /// The attached soft-error process, if any.
-    #[must_use]
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
     }
 
     /// The table's configuration.
@@ -327,7 +314,6 @@ impl MemoTable {
         if let Some(mask) = self.injector.as_mut().and_then(FaultInjector::value_strike) {
             self.value[slot] ^= mask;
             self.stats.faults_injected += 1;
-            self.value_drift = true;
         }
 
         let clean = self.clean_value[slot];
@@ -424,14 +410,12 @@ impl MemoTable {
         Ok((key, set))
     }
 
-    /// `true` when a fault hook can change what a probe does: an enabled
-    /// soft-error process, or a stored tag or payload that still differs
-    /// from its clean copy (a strike that landed before the injector was
-    /// detached or disabled).
+    /// `true` when the table has an enabled soft-error process. A table
+    /// gets its injector when it is built, so without an enabled one no
+    /// strike has landed: every stored tag and payload equals its clean
+    /// copy, and no fault hook changes what a probe does.
     fn fault_source(&self) -> bool {
-        self.tag_drift
-            || self.value_drift
-            || self.injector.as_ref().is_some_and(|i| !i.config().is_disabled())
+        self.injector.as_ref().is_some_and(|i| !i.config().is_disabled())
     }
 
     /// Batched execution that also reports what the table served: lane
@@ -441,24 +425,24 @@ impl MemoTable {
     /// were silently corrupted, with no second pass over the table.
     ///
     /// `truth[i]` must be the true result bits of lane `i`
-    /// ([`Op::compute`]). On a full-value table a miss inserts it instead
-    /// of recomputing it; debug builds check that the two agree, as
-    /// [`Memoizer::update`] does. Statistics, table state and the returned
-    /// tally are those of [`Memoizer::execute_batch`].
+    /// ([`Op::compute`]). On a full-value table with no enabled fault
+    /// injector a miss inserts it instead of recomputing it; debug builds
+    /// check that the two agree, as [`Memoizer::update`] does. Statistics,
+    /// table state and the returned tally are those of
+    /// [`Memoizer::execute_batch`].
     ///
     /// `slots` is either empty or one record per lane. A full-value table
     /// then records where each lane went: [`LaneSlot::Hit`] with the slot
     /// that served it, [`LaneSlot::Filled`] with the slot its result was
-    /// inserted into, or [`LaneSlot::NoLookup`]. A hit the protection
-    /// policy downgrades is not recorded: the lane records where it went
-    /// next.
+    /// inserted into, or [`LaneSlot::NoLookup`].
     ///
     /// # Panics
     ///
     /// Panics if `truth` or `served` does not have one element per lane,
     /// or if `slots` is neither empty nor one per lane. A mantissa-only
-    /// table runs [`Memoizer::execute`] per lane, which reports no slot,
-    /// so it panics when handed a non-empty `slots`.
+    /// table, and a table with an enabled fault injector, runs
+    /// [`Memoizer::execute`] per lane, which reports no slot, so either
+    /// panics when handed a non-empty `slots`.
     pub fn execute_batch_with_truth(
         &mut self,
         batch: &OpBatch<'_>,
@@ -471,72 +455,54 @@ impl MemoTable {
         if !slots.is_empty() {
             assert_eq!(slots.len(), batch.len(), "one lane record per lane");
             assert_eq!(self.cfg.tag(), TagPolicy::FullValue, "only full-value tables record slots");
+            assert!(
+                !self.fault_source(),
+                "a table with an enabled fault injector records no slots"
+            );
         }
         self.run_batch(batch, Some((truth, served, slots)))
     }
 
-    /// Route a batch: every full-value table takes the lane kernel, with
-    /// the fault hooks compiled in only when a fault source exists;
-    /// mantissa-only tables run [`Memoizer::execute`] per lane. That
+    /// Route a batch: a full-value table with no enabled fault injector
+    /// takes the lane kernel. Mantissa-only and fault-injected tables run
+    /// [`Memoizer::execute`] per lane, the oracle the lane kernel is tested
+    /// against, where the fault hooks and the protection ladder live. That
     /// scalar path costs more per operation than the lane kernel: Table
     /// 10's mantissa column (25.3 M fmul and fdiv operations at default
     /// scale) measured 68–77 ns/op through it against 45–51 ns/op through
     /// the full-value lane kernel. A mantissa lane path is ROADMAP item 6.
+    /// No experiment batches a fault-injected table: the fault sweep
+    /// derives its faulted tables from clean ones, and the breaker demo's
+    /// bank calls `execute` per lane.
     fn run_batch(&mut self, batch: &OpBatch<'_>, lanes: Option<LaneOut<'_>>) -> BatchOutcome {
-        if self.cfg.tag() != TagPolicy::FullValue {
+        if self.cfg.tag() != TagPolicy::FullValue || self.fault_source() {
             return execute_each(self, batch, lanes.map(|(_, served, _)| served));
         }
-        match (self.fault_source(), lanes.is_some()) {
-            (true, true) => self.execute_batch_lanes_full::<true, true>(batch, lanes),
-            (true, false) => self.execute_batch_lanes_full::<true, false>(batch, None),
-            (false, true) => self.execute_batch_lanes_full::<false, true>(batch, lanes),
-            (false, false) => self.execute_batch_lanes_full::<false, false>(batch, None),
+        match lanes {
+            Some(_) => self.execute_batch_lanes_full::<true>(batch, lanes),
+            None => self.execute_batch_lanes_full::<false>(batch, None),
         }
     }
 
-    /// One set probe of the lane kernel: [`probe_keyed`](Self::probe_keyed)
-    /// with the clock in a register. When `HOOKED`, the tag scrub and the
-    /// tag-strike draw run first and a matched entry is read through
-    /// [`read_protected`](Self::read_protected) (with the operation `op`
-    /// builds), each under the same gate as the scalar probe. Returns the
-    /// matched slot and the bits it served (only computed when `SERVE`; 0
-    /// otherwise), or `None` for a miss or a downgraded hit.
+    /// One set probe of the lane kernel: [`lookup`](Self::lookup) with the
+    /// clock in a register. Returns the matched slot and its stored payload
+    /// (read only when `SERVE`; 0 otherwise), or `None` for a miss.
     #[inline(always)]
-    fn probe_lane<const HOOKED: bool, const SERVE: bool>(
+    fn probe_lane<const SERVE: bool>(
         &mut self,
         base: usize,
         key: Key,
         clock: &mut u64,
-        hooks: LaneHooks,
-        op: impl FnOnce() -> Op,
     ) -> Option<(usize, u64)> {
-        if HOOKED {
-            if self.tag_drift {
-                self.scrub_tags(base);
-            }
-            if hooks.tag_strikes {
-                if let Some((way_draw, bit)) =
-                    self.injector.as_mut().and_then(FaultInjector::tag_strike)
-                {
-                    self.strike_tag(base, way_draw, bit);
-                }
-            }
-        }
         *clock += 1;
         let slot = self.find(base, key)?;
         self.last_use[slot] = *clock;
-        let bits = if HOOKED && hooks.read {
-            self.read_protected(&op(), slot)?.to_bits()
-        } else if SERVE {
-            self.value[slot]
-        } else {
-            0
-        };
-        Some((slot, bits))
+        Some((slot, if SERVE { self.value[slot] } else { 0 }))
     }
 
-    /// Lane-parallel batch execution for **full-value** tables — every
-    /// table of the paper's experiments, protected or fault-injected.
+    /// Lane-parallel batch execution for **full-value** tables with no
+    /// enabled fault injector — the paper default and every clean or
+    /// protected table of the experiments.
     ///
     /// Under [`TagPolicy::FullValue`] every lane is encodable (no bypass
     /// lanes) and a matched payload always decodes, so the whole per-lane
@@ -547,16 +513,9 @@ impl MemoTable {
     /// decision sequence per lane — probe, swapped probe, insert, every
     /// clock tick and LRU stamp — is exactly the scalar one, so state and
     /// stats land bit-identical to [`Memoizer::execute`] lane by lane.
-    ///
-    /// `HOOKED` compiles in the fault hooks of the scalar probe, in its
-    /// order: before each set probe the tag scrub (once a tag strike has
-    /// landed) and the tag-strike draw (at a non-zero tag rate); after a
-    /// tag match the protected read (at a non-zero value or stuck-at rate,
-    /// or once a payload has drifted), where a downgraded hit falls
-    /// through to the swapped probe and then the insert. Without a fault
-    /// source every hook is a no-op and a match serves its stored payload,
-    /// which is what the protected read returns at zero errors under every
-    /// policy — so a fault-free table runs `HOOKED = false`.
+    /// With no fault source the scalar probe's fault hooks do nothing and
+    /// its protected read returns the stored payload under every policy,
+    /// so a match here serves that payload.
     ///
     /// `SERVE` is set exactly when `lanes` is given: a miss then inserts
     /// the caller's true result instead of recomputing it, and each lane's
@@ -564,8 +523,8 @@ impl MemoTable {
     /// [`execute_batch_with_truth`](Self::execute_batch_with_truth)).
     ///
     /// Each instantiation stays a function of its own. Inlined together
-    /// into [`run_batch`](Self::run_batch), the fault study's
-    /// instantiations changed the code generated for the plain one, which
+    /// into [`run_batch`](Self::run_batch), the serving instantiation's
+    /// slot records changed the code generated for the plain one, which
     /// every paper-default replay runs. Replaying the 18 MM apps into
     /// `MemoBank::paper_default` took 0.365–0.366 s inlined and 0.356–0.357 s
     /// out of line, against 0.355–0.360 s before the slot records existed
@@ -573,12 +532,13 @@ impl MemoTable {
     /// paths of one length, since code placement alone moves this loop by
     /// a few percent).
     #[inline(never)]
-    fn execute_batch_lanes_full<const HOOKED: bool, const SERVE: bool>(
+    fn execute_batch_lanes_full<const SERVE: bool>(
         &mut self,
         batch: &OpBatch<'_>,
         mut lanes: Option<LaneOut<'_>>,
     ) -> BatchOutcome {
         debug_assert_eq!(self.cfg.tag(), TagPolicy::FullValue);
+        debug_assert!(!self.fault_source());
         debug_assert_eq!(SERVE, lanes.is_some());
         let kind = batch.kind();
         let scheme = self.cfg.hash();
@@ -586,7 +546,6 @@ impl MemoTable {
         let trivial_policy = self.cfg.trivial();
         let commutative = self.cfg.commutative() && kind.is_commutative();
         let swap_hashes = commutative && scheme == HashScheme::FoldMix;
-        let hooks = if HOOKED { self.lane_hooks() } else { LaneHooks::default() };
 
         let mut out = BatchOutcome::default();
         let (mut ops_seen, mut trivial_seen, mut lookups) = (0u64, 0u64, 0u64);
@@ -634,9 +593,8 @@ impl MemoTable {
                     let set = set_idx[i] as usize;
 
                     let key = Key { kind, tag };
-                    let op = || batch.op(lane);
                     if let Some((slot, bits)) =
-                        self.probe_lane::<HOOKED, SERVE>(set * ways, key, &mut clock, hooks, op)
+                        self.probe_lane::<SERVE>(set * ways, key, &mut clock)
                     {
                         hits += 1;
                         out.hits += 1;
@@ -647,14 +605,9 @@ impl MemoTable {
                         let stag = ((bi as u128) << 64) | ai as u128;
                         let sset = if swap_hashes { swapped_set_idx[i] as usize } else { set };
                         let key = Key { kind, tag: stag };
-                        let op = || batch.op(lane).swapped().expect("commutative kinds swap");
-                        if let Some((slot, bits)) = self.probe_lane::<HOOKED, SERVE>(
-                            sset * ways,
-                            key,
-                            &mut clock,
-                            hooks,
-                            op,
-                        ) {
+                        if let Some((slot, bits)) =
+                            self.probe_lane::<SERVE>(sset * ways, key, &mut clock)
+                        {
                             hits += 1;
                             comm_hits += 1;
                             out.hits += 1;
@@ -700,34 +653,12 @@ impl MemoTable {
         self.stats.commutative_hits += comm_hits;
         out
     }
-
-    /// The hooks a fault-injected batch runs, fixed for the batch: the
-    /// injector's rates never change, and a payload can only start to
-    /// drift at a non-zero value rate.
-    fn lane_hooks(&self) -> LaneHooks {
-        let rates = self.injector.as_ref().map(FaultInjector::config);
-        LaneHooks {
-            tag_strikes: rates.is_some_and(|r| r.tag_flip_rate > 0.0),
-            read: self.value_drift
-                || rates.is_some_and(|r| r.value_flip_rate > 0.0 || r.stuck_at_rate > 0.0),
-        }
-    }
 }
 
 /// The per-lane inputs and outputs of
 /// [`MemoTable::execute_batch_with_truth`]: true results, served bits and
 /// slot records (empty when not recorded).
 type LaneOut<'a> = (&'a [u64], &'a mut [u64], &'a mut [LaneSlot]);
-
-/// Which fault hooks the lane kernel runs on a fault-injected table.
-#[derive(Debug, Clone, Copy, Default)]
-struct LaneHooks {
-    /// Draw a tag strike before each set probe.
-    tag_strikes: bool,
-    /// Read a matched entry through the fault process and the protection
-    /// policy instead of serving the stored payload.
-    read: bool,
-}
 
 impl Memoizer for MemoTable {
     fn probe(&mut self, op: Op) -> Probe {
@@ -740,7 +671,9 @@ impl Memoizer for MemoTable {
     /// Specialized probe→compute→insert cycle: the tag and set index
     /// derived during the probe are reused by the insert after a miss,
     /// instead of being recomputed by [`Memoizer::update`]. This is the
-    /// sweep hot path — every replayed trace operation lands here.
+    /// per-op path (`MemoizedSink`, `DiffSink` and breaker-armed banks),
+    /// the batch path of mantissa-only and fault-injected tables, and the
+    /// oracle the lane kernel is tested against.
     fn execute(&mut self, op: Op) -> Executed {
         match self.probe_front(&op) {
             Err(Probe::Hit(v)) => Executed { value: v, outcome: Outcome::Hit },
@@ -765,13 +698,10 @@ impl Memoizer for MemoTable {
         }
     }
 
-    /// Batched execution. Every full-value table — the paper default and
-    /// every table of the fault study — takes the lane kernel, with the
-    /// fault and protection hooks compiled in only when the table has a
-    /// fault source. Mantissa-only tables run [`Memoizer::execute`] per
-    /// lane. That costs Table 10's mantissa column, 25.3 M fmul and fdiv
-    /// operations at default scale, 68–77 ns/op against 45–51 ns/op in the
-    /// lane kernel; a mantissa lane path is ROADMAP item 6.
+    /// Batched execution. A full-value table with no enabled fault
+    /// injector — the paper default and every clean or protected table of
+    /// the experiments — takes the lane kernel. Mantissa-only and
+    /// fault-injected tables run [`Memoizer::execute`] per lane.
     fn execute_batch(&mut self, batch: &OpBatch<'_>) -> BatchOutcome {
         self.run_batch(batch, None)
     }
@@ -798,7 +728,6 @@ impl Memoizer for MemoTable {
     fn reset(&mut self) {
         self.valid.fill(false);
         self.tag_drift = false;
-        self.value_drift = false;
         self.clock = 0;
         self.stats = MemoStats::new();
         self.rng = 0x9E37_79B9_7F4A_7C15;
@@ -1285,43 +1214,39 @@ mod tests {
 
     #[test]
     fn lane_records_name_the_slot_each_lane_used() {
-        use crate::fault::{FaultConfig, FaultInjector, Protection};
+        use crate::fault::{FaultConfig, FaultInjector};
         let cfg = MemoConfig::builder(8).assoc(Assoc::Ways(2)).build().unwrap();
-        let faults = FaultConfig::single_bit(0x51_07, 0.3);
         for seed in 0..8 {
             let (a, b) = lane_stream(seed, 600);
             let clean = || MemoTable::new(cfg);
-            let struck = || MemoTable::new(cfg).with_fault_injector(FaultInjector::new(faults));
+            // A disabled injector keeps the table on the lane kernel, so it
+            // records what a clean table records; per-lane `execute` would
+            // record nothing.
+            let idle = || clean().with_fault_injector(FaultInjector::new(FaultConfig::disabled()));
             let want = lane_records(&mut clean(), &a, &b, 1);
-            assert_eq!(lane_records(&mut struck(), &a, &b, 1), want, "seed {seed}");
+            assert_eq!(lane_records(&mut idle(), &a, &b, 1), want, "seed {seed}");
             for width in [7, 64] {
                 assert_eq!(lane_records(&mut clean(), &a, &b, width), want, "seed {seed}");
-                assert_eq!(lane_records(&mut struck(), &a, &b, width), want, "seed {seed}");
+                assert_eq!(lane_records(&mut idle(), &a, &b, width), want, "seed {seed}");
             }
             let count = |f: fn(&LaneSlot) -> bool| want.iter().filter(|r| f(r)).count();
             assert!(count(|r| matches!(r, LaneSlot::Hit(_))) > 0, "seed {seed}: no hit");
             assert!(count(|r| matches!(r, LaneSlot::Filled(_))) > 0, "seed {seed}: no fill");
             assert!(count(|r| *r == LaneSlot::NoLookup) > 0, "seed {seed}: no trivial");
-
-            // Parity refills a struck hit into the slot it hit: its record
-            // is the clean one with each detection a fill of the same slot.
-            let parity = MemoConfig::builder(8)
-                .assoc(Assoc::Ways(2))
-                .protection(Protection::ParityDetect)
-                .build()
-                .unwrap();
-            let mut parity = MemoTable::new(parity).with_fault_injector(FaultInjector::new(faults));
-            let got = lane_records(&mut parity, &a, &b, 64);
-            let mut refills = 0;
-            for (lane, (g, w)) in got.iter().zip(&want).enumerate() {
-                match (*g, *w) {
-                    (LaneSlot::Filled(p), LaneSlot::Hit(c)) if p == c => refills += 1,
-                    _ => assert_eq!(g, w, "seed {seed}, lane {lane}"),
-                }
-            }
-            assert_eq!(refills, parity.stats().faults_detected, "seed {seed}");
-            assert!(refills > 0, "seed {seed}: no strike landed");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a table with an enabled fault injector records no slots")]
+    fn fault_injected_tables_record_no_slots() {
+        use crate::fault::{FaultConfig, FaultInjector};
+        let mut t = MemoTable::new(MemoConfig::paper_default())
+            .with_fault_injector(FaultInjector::new(FaultConfig::single_bit(7, 0.5)));
+        let (a, b) = lane_stream(0, 4);
+        let batch = OpBatch::new(OpKind::FpMul, &a, &b);
+        let truth: Vec<u64> = (0..batch.len()).map(|i| batch.op(i).compute().to_bits()).collect();
+        let mut slots = [LaneSlot::NoLookup; 4];
+        t.execute_batch_with_truth(&batch, &truth, &mut [0; 4], &mut slots);
     }
 
     #[test]

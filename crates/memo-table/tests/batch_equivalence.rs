@@ -6,10 +6,12 @@
 //! mantissa-hostile values.
 //!
 //! The oracle is the scalar `Memoizer::execute` loop; the subject is the
-//! table's `execute_batch` driven through uneven batch slices. Fault-
+//! table's `execute_batch` driven through uneven batch slices. A
+//! full-value table with no enabled fault injector takes the lane kernel;
+//! mantissa-only and fault-injected tables run `execute` per lane. Fault-
 //! injected tables are also driven through `execute_batch_with_truth`,
 //! whose per-lane served bits must be exactly what `execute` served. The
-//! independent oracle for both is `reference_model.rs`.
+//! independent oracle for both paths is `reference_model.rs`.
 
 mod common;
 
@@ -284,11 +286,11 @@ fn fault_sources() -> [(&'static str, FaultConfig); 4] {
 
 /// Fault-injected tables: every fault source × protection × replacement
 /// × geometry × tag policy, with trivial policy, hash and commutativity
-/// rotated. Full-value tables take the lane kernel, mantissa-only tables
-/// the per-lane path. The scalar oracle, `execute_batch` and
-/// `execute_batch_with_truth` must agree on tallies, statistics (every
-/// fault counter included), stored state, and — for the truth-supplying
-/// path — the bits served on every lane.
+/// rotated. Every one of these tables, full-value or mantissa-only, runs
+/// `execute` per lane in both batch methods. The scalar oracle,
+/// `execute_batch` and `execute_batch_with_truth` must agree on tallies,
+/// statistics (every fault counter included), stored state, and — for the
+/// truth-supplying path — the bits served on every lane.
 #[test]
 fn fault_injected_batches_equal_scalar() {
     let assocs = [Assoc::DirectMapped, Assoc::Ways(4), Assoc::Full];
@@ -379,37 +381,4 @@ fn fault_injected_batches_equal_scalar() {
     assert!(saw.faults_corrected > 0 && saw.faults_silent > 0, "{saw:?}");
     assert!(saw.commutative_hits > 0, "{saw:?}");
     assert!(corrupted_lanes > 0, "no lane was served a corrupted value");
-}
-
-/// Detaching a fault process leaves its strikes behind: drifted tags and
-/// payloads that scalar `execute` still scrubs and checks. The batch
-/// paths must keep their hooks on for such a table, whether only
-/// payloads drifted or tags too.
-#[test]
-fn drift_left_by_a_detached_injector_keeps_the_hooks() {
-    let value = FaultConfig::single_bit(0xDE7A_C4ED, 0.3);
-    for faults in [value, value.with_tag_rate(0.3)] {
-        for kind in OpKind::ALL {
-            let (a, b) = stream(kind, 0x1998_0017, 480);
-            let batch = OpBatch::new(kind, &a, &b);
-            let (first, rest) = (batch.slice(0, 240), batch.slice(240, 240));
-            for protection in Protection::ALL {
-                let cfg = MemoConfig::builder(16).protection(protection).build().expect("valid");
-                let label = format!("{} {faults:?}, {}", kind.label(), cfg.canonical());
-                let struck = || {
-                    let mut t = MemoTable::new(cfg).with_fault_injector(FaultInjector::new(faults));
-                    scalar_served(&mut t, &first);
-                    t.set_fault_injector(None);
-                    t
-                };
-                let (mut scalar, mut with_truth, mut batched) = (struck(), struck(), struck());
-                let want = scalar_served(&mut scalar, &rest);
-                assert_eq!(truth_served(&mut with_truth, &rest), want, "{label}: truth path");
-                assert_eq!(run_batched(&mut batched, &rest), want.0, "{label}: batch tallies");
-                let stats = Memoizer::stats(&scalar);
-                assert_eq!(Memoizer::stats(&with_truth), stats, "{label}: truth-path stats");
-                assert_eq!(Memoizer::stats(&batched), stats, "{label}: batch stats");
-            }
-        }
-    }
 }
