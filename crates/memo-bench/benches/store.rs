@@ -4,11 +4,11 @@
 //! `BENCH_store.json` so CI can archive the store's cost profile next to
 //! the serve and sweep benchmarks.
 //!
-//! The async-pipeline additions are measured as before/after pairs in
-//! the same artifact: absent-key gets with the bloom filter off vs on,
-//! hot gets with and without the block cache, and per-put latency
-//! quantiles with the old inline flush-at-watermark behaviour vs the
-//! background flush thread. CI gates on those ratios.
+//! The bloom filter and the block cache are measured as before/after
+//! pairs in the same artifact: absent-key gets with the filter off vs on,
+//! and hot gets with and without the cache. CI gates on those ratios.
+//! Per-put latency quantiles are reported with each put that finds the
+//! memtable at its watermark paying for the flush.
 //!
 //! Runs without fsync — the interesting costs here are framing,
 //! checksumming, and the segment index, not the device sync latency.
@@ -69,18 +69,16 @@ fn segment_store(tag: &str, value: &[u8], bloom_bits_per_key: u32) -> (PathBuf, 
     (dir, store)
 }
 
-/// Per-put latency quantiles (microseconds) over `n` puts, with
-/// `flush_every` forcing a synchronous flush barrier on every K-th put
-/// (0 = never: the background thread absorbs the segment writes).
-fn put_quantiles(tag: &str, value: &[u8], n: usize, flush_every: usize) -> (PathBuf, u64, u64) {
-    let dir = fresh_dir(tag);
-    // Small watermark so freezes actually happen during the run; queue
-    // deep enough that the async path rarely blocks on backpressure.
+/// Per-put latency quantiles (microseconds) over `n` puts. The put that
+/// finds the memtable at its watermark writes the segment first, so the
+/// tail carries the flushes.
+fn put_quantiles(value: &[u8], n: usize) -> (PathBuf, u64, u64) {
+    let dir = fresh_dir("putlatency");
+    // Small watermark so flushes actually happen during the run.
     let config = StoreConfig {
         memtable_max_bytes: 32 << 10,
         fsync: false,
         compact_at_segments: usize::MAX,
-        max_immutables: 8,
         ..StoreConfig::default()
     };
     let store = Store::open(&dir, config).expect("open");
@@ -88,11 +86,6 @@ fn put_quantiles(tag: &str, value: &[u8], n: usize, flush_every: usize) -> (Path
     for i in 0..n {
         let t0 = Instant::now();
         store.put(&key(i), value).expect("put");
-        if flush_every > 0 && (i + 1) % flush_every == 0 {
-            // The pre-async behaviour: the put that crossed the
-            // watermark paid for the whole segment write inline.
-            store.flush().expect("flush");
-        }
         lat_us.push(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
     }
     lat_us.sort_unstable();
@@ -119,10 +112,10 @@ fn main() {
         next += BATCH;
     });
 
-    // Flush: write a batch and drain it into a sorted segment. Each
+    // Flush: write a batch and flush it into a sorted segment. Each
     // sample refills the memtable first (a bare flush of an empty
-    // memtable is a no-op), so this times put + freeze + the barrier
-    // waiting out the background segment write.
+    // memtable is a no-op), so this times the puts plus the segment
+    // write.
     let flush_s = bench_median("store", "put_1k_then_flush", 10, || {
         for i in next..next + BATCH {
             store.put(&key(i), &value).expect("put");
@@ -229,15 +222,10 @@ fn main() {
     drop(cached_store);
     drop(nb_store);
 
-    // Put latency quantiles: inline flush at the watermark (the old
-    // behaviour) vs the background flush thread, same data and cadence.
-    // 32 KiB watermark / ~280 B records ≈ a freeze every ~110 puts.
-    let (sync_dir, put_p50_sync, put_p99_sync) = put_quantiles("putsync", &value, 4 * BATCH, 110);
-    let (async_dir, put_p50_async, put_p99_async) = put_quantiles("putasync", &value, 4 * BATCH, 0);
-    println!(
-        "store/put_latency: sync p50/p99 = {put_p50_sync}/{put_p99_sync} us, \
-         async p50/p99 = {put_p50_async}/{put_p99_async} us"
-    );
+    // Put latency quantiles with the flush at the watermark: 32 KiB /
+    // ~340 B charged per entry ≈ a flush every ~96 puts.
+    let (put_dir, put_p50, put_p99) = put_quantiles(&value, 4 * BATCH);
+    println!("store/put_latency: p50/p99 = {put_p50}/{put_p99} us");
 
     // Recovery: reopen a store whose WAL holds one unflushed batch.
     let recover_dir = fresh_dir("recover");
@@ -268,10 +256,8 @@ fn main() {
     let _ = writeln!(json, "  \"hot_get_no_cache_4x1k_ms\": {:.3},", hot_nocache_s * 1e3);
     let _ = writeln!(json, "  \"hot_get_block_cache_4x1k_ms\": {:.3},", hot_cache_s * 1e3);
     let _ = writeln!(json, "  \"hot_get_speedup\": {:.2},", hot_nocache_s / hot_cache_s.max(1e-9));
-    let _ = writeln!(json, "  \"put_p50_sync_flush_us\": {put_p50_sync},");
-    let _ = writeln!(json, "  \"put_p99_sync_flush_us\": {put_p99_sync},");
-    let _ = writeln!(json, "  \"put_p50_async_flush_us\": {put_p50_async},");
-    let _ = writeln!(json, "  \"put_p99_async_flush_us\": {put_p99_async},");
+    let _ = writeln!(json, "  \"put_p50_us\": {put_p50},");
+    let _ = writeln!(json, "  \"put_p99_us\": {put_p99},");
     let _ = writeln!(json, "  \"bloom_negatives\": {},", bloom_stats.bloom_negatives);
     let _ = writeln!(json, "  \"block_cache_hits\": {},", cache_stats.block_cache_hits);
     let _ = writeln!(json, "  \"segments\": {},", stats.segments);
@@ -281,7 +267,7 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_store.json");
     println!("wrote {path}");
 
-    for d in [&dir, &recover_dir, &nb_dir, &bl_dir, &sync_dir, &async_dir] {
+    for d in [&dir, &recover_dir, &nb_dir, &bl_dir, &put_dir] {
         let _ = std::fs::remove_dir_all(d);
     }
 }

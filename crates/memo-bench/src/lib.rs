@@ -34,7 +34,7 @@ pub fn bench<F: FnMut()>(group: &str, name: &str, samples: usize, f: F) {
     bench_median(group, name, samples, f);
 }
 
-/// Like [`bench`], but also return the median seconds per call so
+/// Like [`bench()`], but also return the median seconds per call so
 /// callers can emit machine-readable results (e.g. `BENCH_sweep.json`).
 pub fn bench_median<F: FnMut()>(group: &str, name: &str, samples: usize, mut f: F) -> f64 {
     f(); // warmup

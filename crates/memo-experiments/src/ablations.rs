@@ -72,7 +72,7 @@ fn ablate(
 ///
 /// # Errors
 ///
-/// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
+/// Fails if a [`SAMPLE_APPS`](crate::figures::SAMPLE_APPS) name is missing from the registry.
 pub fn hash_schemes(cfg: ExpConfig) -> Result<Vec<AblationPoint>, ExperimentError> {
     let configs = [("paper XOR", HashScheme::PaperXor), ("fold-mix", HashScheme::FoldMix)]
         .into_iter()
@@ -87,7 +87,7 @@ pub fn hash_schemes(cfg: ExpConfig) -> Result<Vec<AblationPoint>, ExperimentErro
 ///
 /// # Errors
 ///
-/// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
+/// Fails if a [`SAMPLE_APPS`](crate::figures::SAMPLE_APPS) name is missing from the registry.
 pub fn replacement_policies(cfg: ExpConfig) -> Result<Vec<AblationPoint>, ExperimentError> {
     let configs = [
         ("LRU", Replacement::Lru),
@@ -107,7 +107,7 @@ pub fn replacement_policies(cfg: ExpConfig) -> Result<Vec<AblationPoint>, Experi
 ///
 /// # Errors
 ///
-/// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
+/// Fails if a [`SAMPLE_APPS`](crate::figures::SAMPLE_APPS) name is missing from the registry.
 pub fn commutative_probing(cfg: ExpConfig) -> Result<Vec<AblationPoint>, ExperimentError> {
     let configs = [("both orders", true), ("as-written order", false)]
         .into_iter()
@@ -135,7 +135,7 @@ pub struct SharedVsPrivate {
 ///
 /// # Errors
 ///
-/// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
+/// Fails if a [`SAMPLE_APPS`](crate::figures::SAMPLE_APPS) name is missing from the registry.
 pub fn shared_vs_private(cfg: ExpConfig) -> Result<SharedVsPrivate, ExperimentError> {
     let traces = sample_traces(cfg)?;
 
@@ -182,7 +182,7 @@ pub fn shared_vs_private(cfg: ExpConfig) -> Result<SharedVsPrivate, ExperimentEr
 ///
 /// # Errors
 ///
-/// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
+/// Fails if a [`SAMPLE_APPS`](crate::figures::SAMPLE_APPS) name is missing from the registry.
 pub fn render(cfg: ExpConfig) -> Result<String, ExperimentError> {
     let mut out = String::new();
 

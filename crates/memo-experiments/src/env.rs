@@ -33,17 +33,15 @@ pub fn ranged_var(name: &str, min: usize, max: usize) -> Option<usize> {
 ///
 /// | variable | default | range | tunes |
 /// |---|---|---|---|
-/// | `MEMO_STORE_MEMTABLE_BYTES` | 4 MiB | 4 KiB – 1 GiB | freeze watermark: memtable bytes before it joins the flush queue |
-/// | `MEMO_STORE_MAX_IMMUTABLES` | 4 | 1 – 64 | flush-queue depth before writers block (backpressure) |
+/// | `MEMO_STORE_MEMTABLE_BYTES` | 4 MiB | 4 KiB – 1 GiB | flush watermark: memtable bytes before the next write flushes it to a segment |
 /// | `MEMO_STORE_BLOOM_BITS` | 10 | 0 – 64 | bloom bits per key (`0` writes filterless segments) |
-/// | `MEMO_STORE_COMPACT_AT` | 8 | 2 – 1024 | segment count that triggers a background full compaction |
+/// | `MEMO_STORE_COMPACT_AT` | 8 | 2 – 1024 | segment count at which a flush runs a full compaction |
 /// | `MEMO_STORE_BLOCK_CACHE_CAP` | 256 | 0 – 1 Mi | cached decoded spans (`0` disables the block cache) |
 ///
 /// Unset or unparseable values keep the default; parseable values
 /// outside the range are clamped to its nearest edge.
-pub const STORE_KNOBS: [(&str, &str, usize, usize); 5] = [
-    ("MEMO_STORE_MEMTABLE_BYTES", "freeze watermark (bytes)", 4 << 10, 1 << 30),
-    ("MEMO_STORE_MAX_IMMUTABLES", "flush-queue depth before writers block", 1, 64),
+pub const STORE_KNOBS: [(&str, &str, usize, usize); 4] = [
+    ("MEMO_STORE_MEMTABLE_BYTES", "flush watermark (bytes)", 4 << 10, 1 << 30),
     ("MEMO_STORE_BLOOM_BITS", "bloom bits per key (0 disables)", 0, 64),
     ("MEMO_STORE_COMPACT_AT", "segments before auto-compaction", 2, 1024),
     ("MEMO_STORE_BLOCK_CACHE_CAP", "cached spans (0 disables)", 0, 1 << 20),
@@ -64,9 +62,6 @@ pub fn store_config() -> StoreConfig {
     let mut config = StoreConfig::default();
     if let Some(v) = knob("MEMO_STORE_MEMTABLE_BYTES") {
         config.memtable_max_bytes = v;
-    }
-    if let Some(v) = knob("MEMO_STORE_MAX_IMMUTABLES") {
-        config.max_immutables = v;
     }
     if let Some(v) = knob("MEMO_STORE_BLOOM_BITS") {
         config.bloom_bits_per_key = u32::try_from(v).unwrap_or(64);
@@ -133,15 +128,13 @@ mod tests {
         // Note: other tests in this binary also touch the environment;
         // use distinct values and restore on the way out.
         std::env::set_var("MEMO_STORE_MEMTABLE_BYTES", "8192");
-        std::env::set_var("MEMO_STORE_MAX_IMMUTABLES", "0"); // below range → clamped to 1
         std::env::set_var("MEMO_STORE_BLOOM_BITS", "999"); // above range → clamped to 64
-        std::env::set_var("MEMO_STORE_COMPACT_AT", "16");
+        std::env::set_var("MEMO_STORE_COMPACT_AT", "1"); // below range → clamped to 2
         std::env::set_var("MEMO_STORE_BLOCK_CACHE_CAP", "0");
         let config = store_config();
         assert_eq!(config.memtable_max_bytes, 8192);
-        assert_eq!(config.max_immutables, 1);
         assert_eq!(config.bloom_bits_per_key, 64);
-        assert_eq!(config.compact_at_segments, 16);
+        assert_eq!(config.compact_at_segments, 2);
         assert_eq!(store_block_cache_spans(), 0);
         for (name, ..) in STORE_KNOBS {
             std::env::remove_var(name);
@@ -150,7 +143,6 @@ mod tests {
         let fresh = store_config();
         let default = StoreConfig::default();
         assert_eq!(fresh.memtable_max_bytes, default.memtable_max_bytes);
-        assert_eq!(fresh.max_immutables, default.max_immutables);
         assert_eq!(fresh.bloom_bits_per_key, default.bloom_bits_per_key);
         assert_eq!(fresh.compact_at_segments, default.compact_at_segments);
         assert_eq!(store_block_cache_spans(), 256);

@@ -120,7 +120,7 @@ pub fn pipeline_study(cfg: ExpConfig) -> Result<Vec<PipelineRow>, ExperimentErro
 ///
 /// # Errors
 ///
-/// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
+/// Fails if a [`SAMPLE_APPS`](crate::figures::SAMPLE_APPS) name is missing from the registry.
 pub fn divider_farm_study(cfg: ExpConfig) -> Result<FarmComparison, ExperimentError> {
     let traces = sample_traces(cfg)?;
     // Streamed one recording at a time, so the sample's divisions are

@@ -40,7 +40,7 @@ pub struct SchemeResult {
 ///
 /// # Errors
 ///
-/// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
+/// Fails if a [`SAMPLE_APPS`](crate::figures::SAMPLE_APPS) name is missing from the registry.
 pub fn compare_division_schemes(
     cfg: ExpConfig,
     cpu: CpuModel,
@@ -116,7 +116,7 @@ pub fn compare_division_schemes(
 ///
 /// # Errors
 ///
-/// Fails if a [`SAMPLE_APPS`] name is missing from the registry.
+/// Fails if a [`SAMPLE_APPS`](crate::figures::SAMPLE_APPS) name is missing from the registry.
 pub fn render(cfg: ExpConfig) -> Result<String, ExperimentError> {
     let mut out = String::from(
         "Related-work comparison (Section 1.1): division acceleration schemes\n\

@@ -8,9 +8,8 @@
 //!   layer. Installable and removable so tests can run isolated stores.
 //! * a **format guard** — the store carries a `meta/format` key encoding
 //!   every serialization version it depends on (result codec, trace
-//!   archive, `OpTrace`, the `MemoConfig` stable key encoding — probed by
-//!   an actual encoding canary, not just a version constant). A mismatch
-//!   wipes the store: stale blobs invalidate instead of misdecoding.
+//!   archive, `OpTrace`). A mismatch wipes the store: stale blobs
+//!   invalidate instead of misdecoding.
 //! * **typed load/save helpers** for operand trace archives. Load
 //!   failures (IO, corruption, decode) degrade to `None`, i.e.
 //!   "recompute"; save failures are swallowed after recording the event,
@@ -24,7 +23,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use memo_sim::{OpTrace, OP_TRACE_VERSION};
 use memo_store::codec::{self, RESULT_VERSION, TRACE_ARCHIVE_VERSION};
 use memo_store::{BlockCache, CachedBlock, Store, StoreConfig, StoreError};
-use memo_table::{MemoConfig, STABLE_ENCODING_VERSION};
 
 use crate::cache::ShardedLru;
 use crate::env;
@@ -71,17 +69,10 @@ fn global() -> &'static Mutex<Option<Arc<Store>>> {
 }
 
 /// The format marker this build writes: every version the persisted
-/// blobs depend on, plus a canary of the actual `MemoConfig` stable
-/// encoding so an encoding change that forgot its version bump still
-/// invalidates.
+/// blobs depend on.
 #[must_use]
 pub fn format_tag() -> String {
-    let canary = MemoConfig::paper_default().to_stable_bytes();
-    let canary_hex: String = canary.iter().map(|b| format!("{b:02x}")).collect();
-    format!(
-        "result=v{RESULT_VERSION};archive=v{TRACE_ARCHIVE_VERSION};optrace=v{OP_TRACE_VERSION};\
-         cfgkey=v{STABLE_ENCODING_VERSION};canary={canary_hex}"
-    )
+    format!("result=v{RESULT_VERSION};archive=v{TRACE_ARCHIVE_VERSION};optrace=v{OP_TRACE_VERSION}")
 }
 
 /// Open (or create) a store at `dir` and guard its format: if the
@@ -92,9 +83,10 @@ pub fn format_tag() -> String {
 /// Corruption in the marker's own storage is handled the same way, not
 /// surfaced: a torn `meta/format` WAL record is truncated away by WAL
 /// recovery (the marker is then missing → rewritten), and a corrupt
-/// segment holding the marker fails validation at open → the directory
-/// is wiped and restarted fresh. The store is a cache; losing it must
-/// never keep the process from starting.
+/// segment — or one in a segment format this build no longer reads —
+/// fails validation at open → the directory is wiped and restarted
+/// fresh. The store is a cache; losing it must never keep the process
+/// from starting.
 ///
 /// # Errors
 ///
@@ -299,6 +291,34 @@ mod tests {
     }
 
     #[test]
+    fn version_one_segments_are_corrupt_and_the_guard_wipes_them() {
+        let _guard = handle_lock();
+        let dir = tmp_dir("v1-segment");
+        {
+            let store = open_guarded(&dir, wal_only_config()).unwrap();
+            store.put(b"blob", b"payload").unwrap();
+            store.flush().unwrap();
+        }
+        // Stamp the segment with the version-1 header of the pre-bloom
+        // format, which this build no longer reads.
+        let seg = dir.join("seg-00000000.seg");
+        let mut bytes = std::fs::read(&seg).unwrap();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&seg, &bytes).unwrap();
+        let err = memo_store::segment::Segment::open(&memo_store::RealVfs, &seg).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::CorruptSegment { detail, .. } if detail.contains("version 1")),
+            "{err}"
+        );
+        let store = open_guarded(&dir, wal_only_config()).unwrap();
+        assert_eq!(store.get(b"blob").unwrap(), None, "the wiped blob is gone");
+        assert_eq!(store.get(FORMAT_KEY).unwrap(), Some(format_tag().into_bytes()));
+        assert!(!seg.exists(), "the version-1 segment was wiped");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn typed_helpers_roundtrip_through_the_global_handle() {
         let _guard = handle_lock();
         let dir = tmp_dir("typed");
@@ -380,8 +400,6 @@ mod tests {
 
     #[test]
     fn format_tag_is_stable_and_self_describing() {
-        assert_eq!(format_tag(), format_tag());
-        assert!(format_tag().contains("optrace=v3"));
-        assert!(format_tag().contains("canary="));
+        assert_eq!(format_tag(), "result=v1;archive=v1;optrace=v3");
     }
 }

@@ -392,8 +392,6 @@ impl Metrics {
                 ("memo_store_segment_bytes", st.segment_bytes),
                 ("memo_store_memtable_entries", st.memtable_entries),
                 ("memo_store_memtable_bytes", st.memtable_bytes),
-                ("memo_store_flush_queue_depth", st.flush_queue_depth),
-                ("memo_store_flush_queue_peak", st.flush_queue_peak),
             ] {
                 out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
             }
@@ -485,11 +483,9 @@ mod tests {
     }
 
     #[test]
-    fn render_exposes_async_flush_bloom_and_block_cache_metrics() {
+    fn render_exposes_flush_bloom_and_block_cache_metrics() {
         let m = Metrics::new();
         let store = memo_store::StoreStats {
-            flush_queue_depth: 2,
-            flush_queue_peak: 3,
             flush_failures: 1,
             bloom_negatives: 30,
             bloom_false_positives: 10,
@@ -498,8 +494,6 @@ mod tests {
             ..Default::default()
         };
         let text = m.render(0, 1, false, &CacheStats::default(), Some(&store), &closed_breaker());
-        assert!(text.contains("memo_store_flush_queue_depth 2"));
-        assert!(text.contains("memo_store_flush_queue_peak 3"));
         assert!(text.contains("memo_store_flush_failures_total 1"));
         assert!(text.contains("memo_store_bloom_negatives_total 30"));
         assert!(text.contains("memo_store_bloom_false_positives_total 10"));

@@ -36,10 +36,10 @@ pub struct AppState {
     pub store: Option<Arc<Store>>,
     /// Circuit breaker guarding the persistent tier: after enough
     /// consecutive store failures the disk is skipped entirely and the
-    /// server degrades to memory → compute until a probe succeeds.
-    /// Shared (`Arc`) so the store's background-flush observer can feed
-    /// flush failures into the same streak as foreground loads.
-    pub disk_breaker: Arc<TierBreaker>,
+    /// server degrades to memory → compute until a probe succeeds. A
+    /// failing flush fails the write-through put that ran it, so flush
+    /// failures join the same streak as failed loads.
+    pub disk_breaker: TierBreaker,
     /// Retry policy for transient store errors (both loads and
     /// write-through persists).
     pub store_retry: RetryPolicy,
@@ -69,7 +69,7 @@ impl AppState {
             cache: ShardedLru::new(8, cache_capacity.max(8))
                 .with_weigher(|(_, body): &(u16, String)| body.len() + std::mem::size_of::<u16>()),
             store: None,
-            disk_breaker: Arc::new(TierBreaker::new(5, Duration::from_secs(2))),
+            disk_breaker: TierBreaker::new(5, Duration::from_secs(2)),
             store_retry: RetryPolicy::default(),
             deadline: Duration::from_secs(30),
             metrics: Metrics::new(),
@@ -602,7 +602,7 @@ mod tests {
 
         let mut s = state();
         s.store = Some(store);
-        s.disk_breaker = Arc::new(TierBreaker::new(2, Duration::from_secs(60)));
+        s.disk_breaker = TierBreaker::new(2, Duration::from_secs(60));
         // From here on every read, write, and fsync the store issues fails.
         vfs.set_config(FaultConfig {
             read_error_permille: 1000,

@@ -288,7 +288,7 @@ pub fn start(config: &ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let workers = config.workers.max(1);
     let mut state = AppState::new(config.cfg, config.cache_capacity, workers);
-    state.disk_breaker = Arc::new(TierBreaker::new(config.breaker_threshold, config.breaker_cooldown));
+    state.disk_breaker = TierBreaker::new(config.breaker_threshold, config.breaker_cooldown);
     state.deadline = config.request_deadline;
     state.node_id = config.node_id.clone();
     if let Some(opened) = &config.store {
@@ -303,18 +303,6 @@ pub fn start(config: &ServerConfig) -> io::Result<ServerHandle> {
         // restarts, not just the rendered results.
         store::install(Arc::clone(&opened));
         state.store = Some(opened);
-    }
-    if let Some(opened) = &state.store {
-        // A background flush that fails is the same disk going bad as a
-        // foreground load failing: feed it into the breaker's streak.
-        // Successes deliberately do NOT close the breaker — only a
-        // foreground probe proves the read path is healthy again.
-        let breaker = Arc::clone(&state.disk_breaker);
-        opened.set_flush_observer(Box::new(move |ok| {
-            if !ok {
-                breaker.record_failure();
-            }
-        }));
     }
     let limits = Limits {
         workers,

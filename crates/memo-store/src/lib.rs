@@ -21,17 +21,18 @@
 //! * [`segment`] — immutable sorted segment files flushed from the
 //!   memtable, each carrying a sparse in-memory index, whole-region
 //!   checksums, and a persisted [`bloom`] filter so lookups skip files
-//!   that definitely lack the key. Lookups consult the active memtable
-//!   first, then frozen (flushing) memtables, then segments newest to
-//!   oldest (the same "probe the table before the unit" protocol).
-//! * flush and compaction run on a dedicated background thread: a full
-//!   memtable is frozen and handed over a bounded queue (backpressure
-//!   when too many freezes are pending), so puts never wait for segment
-//!   I/O; [`Store::flush`]/[`Store::compact`] remain synchronous
-//!   barriers, and dropping the store drains the queue.
-//! * compaction (explicit [`Store::compact`] or automatic once the
-//!   segment count passes a threshold) merges all segments into one,
-//!   reclaiming superseded keys and dropping tombstones.
+//!   that definitely lack the key. Lookups consult the memtable first,
+//!   then segments newest to oldest (the same "probe the table before
+//!   the unit" protocol).
+//! * flush and compaction run inline: the write that finds the memtable
+//!   at its watermark writes the segment first, on its own thread and
+//!   under the store's lock, as a MEMO-TABLE miss inserts its result on
+//!   the spot. A failed flush fails that write, so an error always means
+//!   "not committed". [`Store::flush`] and [`Store::compact`] are plain
+//!   calls of the same code.
+//! * compaction (explicit [`Store::compact`] or run by the flush that
+//!   brings the segment count to a threshold) merges all segments into
+//!   one, reclaiming superseded keys and dropping tombstones.
 //! * [`block_cache`] — the seam through which callers plug a checksummed
 //!   in-memory cache of segment spans under the read path.
 //! * [`vfs`] — the virtual filesystem every byte of store I/O goes

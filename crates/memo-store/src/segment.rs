@@ -18,9 +18,9 @@
 //!          | magic "GESM"
 //! ```
 //!
-//! Version 1 files (no bloom region, 40-byte footer) remain readable:
-//! `open` detects them by the header version and rebuilds the filter
-//! from the data region, so old stores upgrade in place on recovery.
+//! Version 1 files (no bloom region, 40-byte footer) fail `open` as
+//! corrupt; the store holds only derived artifacts, so its guarded open
+//! wipes such a directory and starts over.
 //!
 //! Writers stream to `<name>.tmp`, `rename` into place, and fsync the
 //! *parent directory* — a rename is only crash-durable once the dir
@@ -46,14 +46,8 @@ use crate::{crc32, StoreError};
 const MAGIC_HEAD: &[u8; 4] = b"MSEG";
 const MAGIC_FOOT: &[u8; 4] = b"GESM";
 const VERSION: u16 = 2;
-const VERSION_V1: u16 = 1;
 const HEADER_LEN: u64 = 8;
-const FOOTER_LEN_V1: u64 = 8 + 8 + 8 + 4 + 4 + 4 + 4; // 3 u64s, 3 u32s, magic
 const FOOTER_LEN: u64 = 8 + 8 + 8 + 8 + 4 + 4 + 4 + 4 + 4; // 4 u64s, 4 u32s, magic
-
-/// Bits/key used when rebuilding the filter for a version-1 segment
-/// (which recorded no sizing preference of its own).
-const REBUILD_BLOOM_BITS: u32 = 10;
 
 /// Every how many entries the sparse index records a (key, offset) pair.
 pub const SPARSE_EVERY: usize = 16;
@@ -197,8 +191,7 @@ struct IndexPoint {
 }
 
 /// Parse a run of data-region entries out of `buf` (offsets relative to
-/// the buffer). Shared by [`Segment::scan_all`] and the version-1 bloom
-/// rebuild.
+/// the buffer) — [`Segment::scan_all`]'s decoder.
 fn parse_entries(path: &Path, buf: &[u8]) -> Result<Entries, StoreError> {
     let mut out = Vec::new();
     let mut at = 0usize;
@@ -296,9 +289,8 @@ impl Segment {
     }
 
     /// Open and validate the segment at `path` (checks magic, version,
-    /// and every region CRC — a full read once, then lookups seek).
-    /// Version-1 files get their bloom filter rebuilt from the data
-    /// region; version-2 files load the persisted, checksummed one.
+    /// and every region CRC — a full read once, then lookups seek), and
+    /// load its persisted, checksummed bloom filter.
     ///
     /// # Errors
     ///
@@ -312,56 +304,31 @@ impl Segment {
             .read_all()
             .map_err(|e| StoreError::io(format!("read segment {}", path.display()), e))?;
         let len = bytes.len() as u64;
-        if len < HEADER_LEN + FOOTER_LEN_V1 || &bytes[..4] != MAGIC_HEAD {
+        if len < HEADER_LEN || &bytes[..4] != MAGIC_HEAD {
             return Err(Self::corrupt(path, "missing header"));
         }
         let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
-        let footer_len = match version {
-            VERSION_V1 => FOOTER_LEN_V1,
-            VERSION => FOOTER_LEN,
-            v => return Err(Self::corrupt(path, format!("unknown version {v}"))),
-        };
-        if len < HEADER_LEN + footer_len {
+        if version != VERSION {
+            return Err(Self::corrupt(path, format!("unknown version {version}")));
+        }
+        if len < HEADER_LEN + FOOTER_LEN {
             return Err(Self::corrupt(path, "file shorter than its footer"));
         }
-        let foot = &bytes[(len - footer_len) as usize..];
-        if &foot[footer_len as usize - 4..] != MAGIC_FOOT {
+        let foot = &bytes[(len - FOOTER_LEN) as usize..];
+        if &foot[FOOTER_LEN as usize - 4..] != MAGIC_FOOT {
             return Err(Self::corrupt(path, "missing footer magic"));
         }
         let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8"));
         let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().expect("4"));
-        // The v2 footer inserts bloom_off after index_off and bloom_crc
-        // after index_crc; v1 fields otherwise line up.
-        let (data_off, index_off, bloom_off, entries, data_crc, index_crc, bloom_crc, index_count_footer) =
-            if version == VERSION {
-                (
-                    u64_at(foot, 0),
-                    u64_at(foot, 8),
-                    Some(u64_at(foot, 16)),
-                    u64_at(foot, 24),
-                    u32_at(foot, 32),
-                    u32_at(foot, 36),
-                    u32_at(foot, 40),
-                    u32_at(foot, 44),
-                )
-            } else {
-                (
-                    u64_at(foot, 0),
-                    u64_at(foot, 8),
-                    None,
-                    u64_at(foot, 16),
-                    u32_at(foot, 24),
-                    u32_at(foot, 28),
-                    0,
-                    u32_at(foot, 32),
-                )
-            };
-        let regions_end = len - footer_len;
-        let index_end = bloom_off.unwrap_or(regions_end);
+        let (data_off, index_off, bloom_off, entries) =
+            (u64_at(foot, 0), u64_at(foot, 8), u64_at(foot, 16), u64_at(foot, 24));
+        let (data_crc, index_crc, bloom_crc, index_count_footer) =
+            (u32_at(foot, 32), u32_at(foot, 36), u32_at(foot, 40), u32_at(foot, 44));
+        let regions_end = len - FOOTER_LEN;
         if data_off != HEADER_LEN
             || index_off < data_off
-            || index_off + 4 > index_end
-            || index_end > regions_end
+            || index_off.saturating_add(4) > bloom_off
+            || bloom_off > regions_end
         {
             return Err(Self::corrupt(path, "offsets out of range"));
         }
@@ -369,7 +336,7 @@ impl Segment {
         if crc32(data) != data_crc {
             return Err(Self::corrupt(path, "data checksum mismatch"));
         }
-        let index_bytes = &bytes[index_off as usize + 4..index_end as usize];
+        let index_bytes = &bytes[index_off as usize + 4..bloom_off as usize];
         if crc32(index_bytes) != index_crc {
             return Err(Self::corrupt(path, "index checksum mismatch"));
         }
@@ -377,28 +344,17 @@ impl Segment {
         if index_count != index_count_footer {
             return Err(Self::corrupt(path, "index count mismatch"));
         }
-        let bloom = match bloom_off {
-            Some(off) => {
-                let bloom_bytes = &bytes[off as usize..regions_end as usize];
-                if crc32(bloom_bytes) != bloom_crc {
-                    return Err(Self::corrupt(path, "bloom checksum mismatch"));
-                }
-                if bloom_bytes.is_empty() {
-                    None // written with bloom disabled
-                } else {
-                    Some(
-                        Bloom::from_bytes(bloom_bytes)
-                            .ok_or_else(|| Self::corrupt(path, "bloom region malformed"))?,
-                    )
-                }
-            }
-            None => {
-                // Version-1 segment: no persisted filter. Rebuild from
-                // the (already checksummed) data region so old stores
-                // gain the skip-probe path on recovery.
-                let keys = parse_entries(path, data)?;
-                Some(Bloom::build(keys.iter().map(|(k, _)| k.as_slice()), REBUILD_BLOOM_BITS))
-            }
+        let bloom_bytes = &bytes[bloom_off as usize..regions_end as usize];
+        if crc32(bloom_bytes) != bloom_crc {
+            return Err(Self::corrupt(path, "bloom checksum mismatch"));
+        }
+        let bloom = if bloom_bytes.is_empty() {
+            None // written with bloom disabled
+        } else {
+            Some(
+                Bloom::from_bytes(bloom_bytes)
+                    .ok_or_else(|| Self::corrupt(path, "bloom region malformed"))?,
+            )
         };
 
         // Decode the sparse index.
@@ -474,7 +430,7 @@ impl Segment {
         self.bloom.as_ref().is_none_or(|b| b.contains(key))
     }
 
-    /// Whether this segment carries a bloom filter (persisted or rebuilt).
+    /// Whether this segment carries a bloom filter.
     /// Callers use it to tell "filter said maybe but the key was absent"
     /// (a countable false positive) from "no filter to ask".
     #[must_use]
@@ -664,40 +620,6 @@ mod tests {
         .unwrap()
     }
 
-    /// Build a version-1 segment file byte-for-byte (the pre-bloom
-    /// format), for the upgrade-path tests.
-    fn write_v1_file(path: &Path, entries: &Entries) {
-        let mut data = Vec::new();
-        let mut index: Vec<u8> = Vec::new();
-        let mut index_count: u32 = 0;
-        for (n, (key, value)) in entries.iter().enumerate() {
-            if n % SPARSE_EVERY == 0 {
-                index.extend_from_slice(&(u32::try_from(key.len()).unwrap()).to_le_bytes());
-                index.extend_from_slice(key);
-                index.extend_from_slice(&(HEADER_LEN + data.len() as u64).to_le_bytes());
-                index_count += 1;
-            }
-            encode_entry(&mut data, key, value.as_deref());
-        }
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC_HEAD);
-        out.extend_from_slice(&VERSION_V1.to_le_bytes());
-        out.extend_from_slice(&[0u8; 2]);
-        let data_off = out.len() as u64;
-        out.extend_from_slice(&data);
-        let index_off = out.len() as u64;
-        out.extend_from_slice(&index_count.to_le_bytes());
-        out.extend_from_slice(&index);
-        out.extend_from_slice(&data_off.to_le_bytes());
-        out.extend_from_slice(&index_off.to_le_bytes());
-        out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&data).to_le_bytes());
-        out.extend_from_slice(&crc32(&index).to_le_bytes());
-        out.extend_from_slice(&index_count.to_le_bytes());
-        out.extend_from_slice(MAGIC_FOOT);
-        std::fs::write(path, out).unwrap();
-    }
-
     #[test]
     fn roundtrips_every_entry_through_the_sparse_index() {
         let path = tmp("roundtrip.seg");
@@ -741,6 +663,13 @@ mod tests {
         // Truncation too.
         std::fs::write(&path, &clean[..clean.len() - 10]).unwrap();
         assert!(Segment::open(&RealVfs, &path).is_err());
+        // An index offset at the top of the u64 range must fail the range
+        // check, not overflow it.
+        let mut bad = clean.clone();
+        let index_off_at = clean.len() - FOOTER_LEN as usize + 8;
+        bad[index_off_at..index_off_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&path, &bad).unwrap();
+        assert!(matches!(Segment::open(&RealVfs, &path), Err(StoreError::CorruptSegment { .. })));
         remove_tmp(&path);
     }
 
@@ -820,25 +749,6 @@ mod tests {
         assert!(seg.bloom.is_none());
         assert!(seg.maybe_contains(b"definitely-absent"));
         assert_eq!(seg.get(b"key-0003").unwrap().0, Some(entries[3].1.clone()));
-        remove_tmp(&path);
-    }
-
-    #[test]
-    fn version_one_segments_open_with_a_rebuilt_bloom() {
-        let path = tmp("v1.seg");
-        let entries = sample();
-        write_v1_file(&path, &entries);
-        let seg = Segment::open(&RealVfs, &path).unwrap();
-        assert!(seg.bloom.is_some(), "old-format segments must gain a filter at open");
-        assert_eq!(seg.entries(), 50);
-        for (k, v) in &entries {
-            assert!(seg.maybe_contains(k));
-            assert_eq!(seg.get(k).unwrap().0, Some(v.clone()));
-        }
-        assert!(
-            (0..1000).any(|i| !seg.maybe_contains(format!("absent-{i}").as_bytes())),
-            "the rebuilt filter must actually screen"
-        );
         remove_tmp(&path);
     }
 

@@ -120,7 +120,7 @@ pub struct Recovery {
 }
 
 /// Scan `bytes` as a WAL and return the committed prefix. Pure — the
-/// file-level [`Wal::recover`] and the property tests both call this.
+/// file-level [`Wal::open`] and the property tests both call this.
 #[must_use]
 pub fn scan(bytes: &[u8]) -> Recovery {
     let mut ops = Vec::new();
@@ -164,9 +164,8 @@ pub struct Wal {
     fsync: bool,
     /// Length of the committed (acknowledged) prefix. A failed append or
     /// fsync rolls the file back to this point so an unacknowledged
-    /// record never survives — the freeze/rename handoff to the
-    /// background flusher relies on frozen logs holding only
-    /// acknowledged records.
+    /// record never survives, not even in the segment of a later flush
+    /// whose WAL reset fails.
     committed: u64,
 }
 
@@ -210,7 +209,7 @@ impl Wal {
     /// [`StoreError::Io`] on write or sync failure. The operation is not
     /// committed, and the log is rolled back (best-effort truncate —
     /// never fault-injected) to the committed prefix so the torn or
-    /// unsynced record cannot leak into a frozen log later.
+    /// unsynced record cannot be replayed later.
     pub fn append(&mut self, op: &WalOp) -> Result<usize, StoreError> {
         let rec = encode_record(op);
         if let Err(e) = self.file.append(&rec) {

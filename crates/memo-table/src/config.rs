@@ -142,9 +142,6 @@ pub enum MemoConfigError {
         /// Ways requested.
         ways: usize,
     },
-    /// A [`MemoConfig::from_stable_bytes`] blob failed to decode — wrong
-    /// version, wrong length, or an unknown discriminant.
-    BadEncoding(/* what failed */ String),
 }
 
 impl fmt::Display for MemoConfigError {
@@ -156,21 +153,11 @@ impl fmt::Display for MemoConfigError {
             MemoConfigError::BadAssociativity { entries, ways } => {
                 write!(f, "{ways} ways do not evenly divide {entries} entries")
             }
-            MemoConfigError::BadEncoding(detail) => {
-                write!(f, "bad stable encoding: {detail}")
-            }
         }
     }
 }
 
 impl std::error::Error for MemoConfigError {}
-
-/// Version byte leading every [`MemoConfig::to_stable_bytes`] blob. Bump
-/// on any layout change so persisted keys invalidate instead of aliasing.
-pub const STABLE_ENCODING_VERSION: u8 = 1;
-
-/// Fixed length of a [`MemoConfig::to_stable_bytes`] blob.
-pub const STABLE_ENCODED_LEN: usize = 28;
 
 /// A validated MEMO-TABLE configuration.
 ///
@@ -270,148 +257,6 @@ impl MemoConfig {
     #[must_use]
     pub fn protection(&self) -> Protection {
         self.protection
-    }
-
-    /// Encode every field into a fixed-width, platform-independent byte
-    /// string, suitable as a persistent cache key: two configurations
-    /// encode identically iff they are equal, and the layout is frozen
-    /// behind [`STABLE_ENCODING_VERSION`] (unlike `Debug` or hash output,
-    /// which may change between compiler or crate versions).
-    ///
-    /// Layout (all little-endian): version `u8`, entries `u64`, assoc tag
-    /// `u8` + ways `u64`, tag/trivial/replacement/hash/commutative one
-    /// `u8` each, protection tag `u8` + verify-cycles `u32`.
-    #[must_use]
-    pub fn to_stable_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(STABLE_ENCODED_LEN);
-        out.push(STABLE_ENCODING_VERSION);
-        out.extend_from_slice(&(self.entries as u64).to_le_bytes());
-        let (assoc_tag, ways) = match self.assoc {
-            Assoc::DirectMapped => (0u8, 0u64),
-            Assoc::Ways(n) => (1, n as u64),
-            Assoc::Full => (2, 0),
-        };
-        out.push(assoc_tag);
-        out.extend_from_slice(&ways.to_le_bytes());
-        out.push(match self.tag {
-            TagPolicy::FullValue => 0,
-            TagPolicy::MantissaOnly => 1,
-        });
-        out.push(match self.trivial {
-            TrivialPolicy::Memoize => 0,
-            TrivialPolicy::Exclude => 1,
-            TrivialPolicy::Integrate => 2,
-        });
-        out.push(match self.replacement {
-            Replacement::Lru => 0,
-            Replacement::Fifo => 1,
-            Replacement::Random => 2,
-        });
-        out.push(match self.hash {
-            HashScheme::PaperXor => 0,
-            HashScheme::FoldMix => 1,
-        });
-        out.push(u8::from(self.commutative));
-        let (prot_tag, verify) = match self.protection {
-            Protection::None => (0u8, 0u32),
-            Protection::ParityDetect => (1, 0),
-            Protection::EccSecDed => (2, 0),
-            Protection::VerifyOnHit { verify_cycles } => (3, verify_cycles),
-        };
-        out.push(prot_tag);
-        out.extend_from_slice(&verify.to_le_bytes());
-        debug_assert_eq!(out.len(), STABLE_ENCODED_LEN);
-        out
-    }
-
-    /// Decode a [`to_stable_bytes`](Self::to_stable_bytes) blob, passing
-    /// the result through the normal builder validation.
-    ///
-    /// # Errors
-    ///
-    /// [`MemoConfigError::BadEncoding`] on version/length/discriminant
-    /// mismatch; the builder's own errors if the decoded geometry is
-    /// invalid (a blob from a foreign writer, not this crate).
-    pub fn from_stable_bytes(bytes: &[u8]) -> Result<MemoConfig, MemoConfigError> {
-        let bad = |detail: &str| MemoConfigError::BadEncoding(detail.to_string());
-        if bytes.len() != STABLE_ENCODED_LEN {
-            return Err(bad("wrong length"));
-        }
-        if bytes[0] != STABLE_ENCODING_VERSION {
-            return Err(bad("unknown version"));
-        }
-        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        let entries = usize::try_from(u64_at(1)).map_err(|_| bad("entries overflow"))?;
-        let ways = usize::try_from(u64_at(10)).map_err(|_| bad("ways overflow"))?;
-        let assoc = match bytes[9] {
-            0 => Assoc::DirectMapped,
-            1 => Assoc::Ways(ways),
-            2 => Assoc::Full,
-            _ => return Err(bad("unknown associativity")),
-        };
-        let tag = match bytes[18] {
-            0 => TagPolicy::FullValue,
-            1 => TagPolicy::MantissaOnly,
-            _ => return Err(bad("unknown tag policy")),
-        };
-        let trivial = match bytes[19] {
-            0 => TrivialPolicy::Memoize,
-            1 => TrivialPolicy::Exclude,
-            2 => TrivialPolicy::Integrate,
-            _ => return Err(bad("unknown trivial policy")),
-        };
-        let replacement = match bytes[20] {
-            0 => Replacement::Lru,
-            1 => Replacement::Fifo,
-            2 => Replacement::Random,
-            _ => return Err(bad("unknown replacement policy")),
-        };
-        let hash = match bytes[21] {
-            0 => HashScheme::PaperXor,
-            1 => HashScheme::FoldMix,
-            _ => return Err(bad("unknown hash scheme")),
-        };
-        let commutative = match bytes[22] {
-            0 => false,
-            1 => true,
-            _ => return Err(bad("bad commutative flag")),
-        };
-        let verify_cycles =
-            u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes"));
-        let protection = match bytes[23] {
-            0 => Protection::None,
-            1 => Protection::ParityDetect,
-            2 => Protection::EccSecDed,
-            3 => Protection::VerifyOnHit { verify_cycles },
-            _ => return Err(bad("unknown protection policy")),
-        };
-        Self::builder(entries)
-            .assoc(assoc)
-            .tag(tag)
-            .trivial(trivial)
-            .replacement(replacement)
-            .hash(hash)
-            .commutative(commutative)
-            .protection(protection)
-            .build()
-    }
-
-    /// A stable, human-readable canonical form covering every field —
-    /// two configurations render identically iff they are equal, so the
-    /// string can serve as a cache or map key across processes.
-    #[must_use]
-    pub fn canonical(&self) -> String {
-        format!(
-            "entries={};assoc={};tag={:?};trivial={:?};repl={:?};hash={:?};comm={};prot={:?}",
-            self.entries,
-            self.assoc.canonical(),
-            self.tag,
-            self.trivial,
-            self.replacement,
-            self.hash,
-            self.commutative,
-            self.protection,
-        )
     }
 }
 
@@ -572,17 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_distinguishes_configurations() {
-        let a = MemoConfig::paper_default();
-        let b = MemoConfig::builder(32).assoc(Assoc::Full).build().unwrap();
-        let c = MemoConfig::builder(32).commutative(false).build().unwrap();
-        assert_eq!(a.canonical(), MemoConfig::paper_default().canonical());
-        assert_ne!(a.canonical(), b.canonical());
-        assert_ne!(a.canonical(), c.canonical());
-        assert!(a.canonical().contains("entries=32"));
-    }
-
-    #[test]
     fn full_associativity_is_one_set() {
         let cfg = MemoConfig::builder(64).assoc(Assoc::Full).build().unwrap();
         assert_eq!(cfg.sets(), 1);
@@ -594,75 +428,6 @@ mod tests {
         let cfg = MemoConfig::builder(32).assoc(Assoc::DirectMapped).build().unwrap();
         assert_eq!(cfg.sets(), 32);
         assert_eq!(cfg.ways(), 1);
-    }
-
-    #[test]
-    fn stable_bytes_roundtrip_every_field_combination() {
-        let configs = vec![
-            MemoConfig::paper_default(),
-            MemoConfig::builder(64)
-                .assoc(Assoc::DirectMapped)
-                .tag(TagPolicy::MantissaOnly)
-                .trivial(TrivialPolicy::Integrate)
-                .replacement(Replacement::Fifo)
-                .hash(HashScheme::FoldMix)
-                .commutative(false)
-                .protection(Protection::ParityDetect)
-                .build()
-                .unwrap(),
-            MemoConfig::builder(128)
-                .assoc(Assoc::Full)
-                .trivial(TrivialPolicy::Memoize)
-                .replacement(Replacement::Random)
-                .protection(Protection::VerifyOnHit { verify_cycles: 7 })
-                .build()
-                .unwrap(),
-            MemoConfig::builder(32).protection(Protection::EccSecDed).build().unwrap(),
-        ];
-        for cfg in configs {
-            let bytes = cfg.to_stable_bytes();
-            assert_eq!(bytes.len(), STABLE_ENCODED_LEN);
-            assert_eq!(MemoConfig::from_stable_bytes(&bytes).unwrap(), cfg);
-        }
-    }
-
-    #[test]
-    fn stable_bytes_are_injective() {
-        let a = MemoConfig::paper_default().to_stable_bytes();
-        let b = MemoConfig::builder(32).commutative(false).build().unwrap().to_stable_bytes();
-        let c = MemoConfig::builder(64).build().unwrap().to_stable_bytes();
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(b, c);
-    }
-
-    #[test]
-    fn stable_bytes_reject_damage() {
-        let bytes = MemoConfig::paper_default().to_stable_bytes();
-        assert!(matches!(
-            MemoConfig::from_stable_bytes(&bytes[..10]),
-            Err(MemoConfigError::BadEncoding(_))
-        ));
-        let mut wrong_version = bytes.clone();
-        wrong_version[0] = 99;
-        assert!(matches!(
-            MemoConfig::from_stable_bytes(&wrong_version),
-            Err(MemoConfigError::BadEncoding(_))
-        ));
-        let mut bad_tag = bytes.clone();
-        bad_tag[18] = 42;
-        assert!(matches!(
-            MemoConfig::from_stable_bytes(&bad_tag),
-            Err(MemoConfigError::BadEncoding(_))
-        ));
-        // A structurally valid blob with invalid geometry goes through
-        // builder validation.
-        let mut bad_geometry = bytes;
-        bad_geometry[1..9].copy_from_slice(&24u64.to_le_bytes());
-        assert!(matches!(
-            MemoConfig::from_stable_bytes(&bad_geometry),
-            Err(MemoConfigError::EntriesNotPowerOfTwo(24))
-        ));
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use batch::{BatchOutcome, OpBatch, MAX_BATCH_WIDTH};
 pub use column::InfiniteColumn;
 pub use config::{
     Assoc, HashScheme, MemoConfig, MemoConfigBuilder, MemoConfigError, Replacement, TagPolicy,
-    TrivialPolicy, STABLE_ENCODED_LEN, STABLE_ENCODING_VERSION,
+    TrivialPolicy,
 };
 pub use fault::{Fault, FaultConfig, FaultInjector, Protection};
 pub use infinite::InfiniteMemoTable;

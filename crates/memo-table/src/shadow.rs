@@ -137,7 +137,7 @@ impl ShadowCounts {
 
 /// The unprotected, parity, verify-on-hit and SEC-DED copies of one clean
 /// table under one fault process, derived from the clean table's lane
-/// records (see the [module docs](self)). [`ShadowCounts::stats`] gives
+/// records (DESIGN.md §15 has the argument). [`ShadowCounts::stats`] gives
 /// each copy's statistics: every table keeps the clean lookups and
 /// evictions; the unprotected and SEC-DED tables keep the clean hits too;
 /// parity and verify-on-hit trade one hit for one insertion per strike.

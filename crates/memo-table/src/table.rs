@@ -154,8 +154,13 @@ impl MemoTable {
     /// Attach it when the table is built: a batch picks its path from the
     /// attached injector alone, so the strikes of an enabled injector that
     /// a disabled one replaced would reach the lane kernel unchecked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table already has an injector.
     #[must_use]
     pub fn with_fault_injector(mut self, injector: FaultInjector) -> Self {
+        assert!(self.injector.is_none(), "a memo table takes one fault injector");
         self.injector = Some(injector);
         self
     }
@@ -1247,6 +1252,21 @@ mod tests {
         let truth: Vec<u64> = (0..batch.len()).map(|i| batch.op(i).compute().to_bits()).collect();
         let mut slots = [LaneSlot::NoLookup; 4];
         t.execute_batch_with_truth(&batch, &truth, &mut [0; 4], &mut slots);
+    }
+
+    #[test]
+    #[should_panic(expected = "a memo table takes one fault injector")]
+    fn a_second_fault_injector_is_refused() {
+        use crate::fault::{FaultConfig, FaultInjector};
+        // A struck table whose injector a disabled one replaced would send
+        // its next batches through the lane kernel, which serves drifted
+        // payloads without counting them.
+        let mut t = MemoTable::new(MemoConfig::paper_default())
+            .with_fault_injector(FaultInjector::new(FaultConfig::single_bit(7, 0.5)));
+        let (a, b) = lane_stream(0, 200);
+        t.execute_batch(&OpBatch::new(OpKind::FpMul, &a, &b));
+        assert!(t.stats().faults_silent > 0, "the table was struck");
+        let _ = t.with_fault_injector(FaultInjector::new(FaultConfig::disabled()));
     }
 
     #[test]

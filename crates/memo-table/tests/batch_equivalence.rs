@@ -123,7 +123,7 @@ fn finite_table_batched_equals_scalar_across_configs() {
                         .protection(protection)
                         .build()
                         .expect("valid config");
-                    let label = format!("{} {}", kind.label(), cfg.canonical());
+                    let label = format!("{} {cfg:?}", kind.label());
                     assert_equivalent(
                         Box::new(MemoTable::new(cfg)),
                         Box::new(MemoTable::new(cfg)),
@@ -160,7 +160,7 @@ fn finite_table_secondary_axes_full_cross() {
                             .commutative(commutative)
                             .build()
                             .expect("valid config");
-                        let label = format!("{} {}", kind.label(), cfg.canonical());
+                        let label = format!("{} {cfg:?}", kind.label());
                         assert_equivalent(
                             Box::new(MemoTable::new(cfg)),
                             Box::new(MemoTable::new(cfg)),
@@ -322,7 +322,7 @@ fn fault_injected_batches_equal_scalar() {
                             .expect("valid config");
                         rotor += 1;
                         let label =
-                            format!("{} {source} faults, {}", kind.label(), cfg.canonical());
+                            format!("{} {source} faults, {cfg:?}", kind.label());
                         let table =
                             || MemoTable::new(cfg).with_fault_injector(FaultInjector::new(faults));
 

@@ -205,10 +205,10 @@ fn execute_matches_reference_model() {
                 let op = batch.op(i);
                 let got = table.execute(op);
                 let want = model.execute(op);
-                let label = format!("{} {} op {i} ({op})", kind.label(), cfg.canonical());
+                let label = format!("{} {cfg:?} op {i} ({op})", kind.label());
                 assert_eq!((got.outcome, got.value.to_bits()), want, "{label}");
             }
-            assert_eq!(table.stats(), model.stats, "{} {}", kind.label(), cfg.canonical());
+            assert_eq!(table.stats(), model.stats, "{} {cfg:?}", kind.label());
         }
     }
 }
@@ -241,7 +241,7 @@ fn execute_batch_matches_reference_model_at_every_tile_width() {
                     start += w;
                     tile += 1;
                 }
-                let label = format!("{} {} widths {widths:?}", kind.label(), cfg.canonical());
+                let label = format!("{} {cfg:?} widths {widths:?}", kind.label());
                 assert_eq!(got, want, "{label}: tallies");
                 assert_eq!(table.stats(), model.stats, "{label}: stats");
 
@@ -281,8 +281,7 @@ fn protected_execute_matches_reference_model() {
                             MemoTable::new(cfg).with_fault_injector(FaultInjector::new(faults));
                         let mut model = Model::new(&cfg, faults);
                         let case = format!(
-                            "{protection}, value rate {rate}, double fraction {double}, {} {}",
-                            cfg.canonical(),
+                            "{protection}, value rate {rate}, double fraction {double}, {cfg:?} {}",
                             kind.label()
                         );
                         for i in 0..batch.len() {
